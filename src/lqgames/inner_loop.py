@@ -112,7 +112,8 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAU
     step = np.inf
     for k in range(max_iter):
         G = Ru + B.T @ P @ B
-        if linalg.min_eigenvalue_sym(G) <= 0.0:
+        # built here from symmetric Ru and P, so no re-validation
+        if np.linalg.eigvalsh(G)[0] <= 0.0:
             _raise_inner_domain(qt_min, k, np.nan,
                                 "Ru + B^T P B lost definiteness during iteration")
         Kn = np.linalg.solve(G, B.T @ P @ At)

@@ -9,7 +9,10 @@ import pytest
 import scipy.linalg
 
 import lqgames.linalg as lin
-from lqgames import DimensionError, NotSymmetricError, UnstableError
+from lqgames import ConvergenceError, DimensionError, NotSymmetricError, UnstableError
+
+# both sides of the Kronecker / Smith-doubling switch at DLYAP_DIRECT_MAX_DIM = 8
+DLYAP_DIMS = (3, 8, 9, 24, 48)
 
 
 def random_stable(rng, n=3, radius=0.9):
@@ -64,11 +67,12 @@ def test_as_matrix_shape_check():
         lin.as_matrix(np.zeros((2, 2)), rows=1, cols=3, name="K")
 
 
-def test_dlyap_matches_series_and_scipy():
+@pytest.mark.parametrize("d", DLYAP_DIMS)
+def test_dlyap_matches_series_and_scipy(d):
     rng = np.random.default_rng(7)
     for _ in range(10):
-        Acl = random_stable(rng)
-        W = random_psd(rng)
+        Acl = random_stable(rng, n=d)
+        W = random_psd(rng, n=d)
         X = lin.solve_dlyap(Acl, W)
         assert np.linalg.norm(X - series_dlyap(Acl, W), "fro") <= 1e-9 * max(
             1.0, np.linalg.norm(X, "fro"))
@@ -80,15 +84,37 @@ def test_dlyap_matches_series_and_scipy():
             1.0, np.linalg.norm(X, "fro"))
 
 
-def test_dlyap_transpose_is_adjoint_direction():
+@pytest.mark.parametrize("d", DLYAP_DIMS)
+def test_dlyap_transpose_is_adjoint_direction(d):
     rng = np.random.default_rng(8)
     for _ in range(10):
-        Acl = random_stable(rng)
-        W = random_psd(rng)
+        Acl = random_stable(rng, n=d)
+        W = random_psd(rng, n=d)
         X = lin.solve_dlyap_transpose(Acl, W)
         assert np.allclose(X, lin.solve_dlyap(Acl.T, W), atol=1e-11)
         assert np.linalg.norm(X - Acl.T @ X @ Acl - W, "fro") <= 1e-10 * max(
             1.0, np.linalg.norm(X, "fro"))
+
+
+def test_dlyap_doubling_near_unit_radius():
+    # rho = 1 - 1e-6 needs about 2^24 series terms; the condition number of
+    # I - Acl (x) Acl is about 5e6 here, which sets the loose scipy tolerance
+    rng = np.random.default_rng(11)
+    Acl = random_stable(rng, n=48, radius=1.0 - 1e-6)
+    W = random_psd(rng, n=48)
+    X = lin.solve_dlyap(Acl, W)
+    scale = np.linalg.norm(X, "fro")
+    assert np.linalg.norm(X - Acl @ X @ Acl.T - W, "fro") <= 1e-12 * scale
+    X_scipy = scipy.linalg.solve_discrete_lyapunov(Acl, W)
+    assert np.linalg.norm(X - X_scipy, "fro") <= 1e-7 * scale
+
+
+def test_dlyap_doubling_cap_raises(monkeypatch):
+    monkeypatch.setattr(lin, "DLYAP_DOUBLING_MAX_STEPS", 1)
+    rng = np.random.default_rng(12)
+    with pytest.raises(ConvergenceError, match="solve_dlyap_transpose") as exc:
+        lin.solve_dlyap_transpose(random_stable(rng, n=24), random_psd(rng, n=24))
+    assert exc.value.iterations == 1
 
 
 def test_dlyap_rejects_unstable():
