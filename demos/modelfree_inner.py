@@ -33,10 +33,10 @@ def main():
 
     cfg = lq.EstimatorConfig(m=args.m, R=100, r=args.radius, seed=args.seed)
 
-    def progress(j, K, grad, Sigma, extras):
+    def progress(j, K, est):
         if j % 5 == 0:
             print(f"  step {j:3d}: err {np.linalg.norm(K - K_star):.4f}, "
-                  f"sampled cost {extras['cost_mean']:.4f}")
+                  f"sampled cost {est.cost_mean:.4f}")
 
     K_T = lq.inner_ng_modelfree(game, L, K0, cfg, args.steps, args.alpha,
                                 flavor=lq.PG, record=progress)

@@ -22,7 +22,7 @@ from .inner_loop import (GAUSS_NEWTON, NATURAL_PG, PG, RICCATI, InnerConfig,
                          solve_inner_riccati)
 from .modelfree import (EstimatorConfig, GradEstimate, RolloutEngine,
                         estimate_grad_sigma, inner_ng_modelfree,
-                        outer_ng_modelfree, rollout_length_for, sample_sphere)
+                        outer_ng_modelfree, rollout_length_for)
 from .outer_loop import (GAUSS_NEWTON_NG, NATURAL_NG, NG, PROJECTION_OFF,
                          PROJECTION_WHITENED_SV_CLIP, OmegaSet,
                          OuterConfig, nested_gradient, outer_step,
@@ -43,7 +43,6 @@ __all__ = [
     "InnerResult", "inner_step", "solve_inner", "solve_inner_riccati",
     "EstimatorConfig", "GradEstimate", "RolloutEngine", "estimate_grad_sigma",
     "inner_ng_modelfree", "outer_ng_modelfree", "rollout_length_for",
-    "sample_sphere",
     "GAUSS_NEWTON_NG", "NATURAL_NG", "NG", "OmegaSet", "OuterConfig",
     "PROJECTION_OFF", "PROJECTION_WHITENED_SV_CLIP",
     "nested_gradient", "outer_step", "project_omega", "solve_nested",

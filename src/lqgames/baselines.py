@@ -17,7 +17,7 @@ import numpy as np
 
 from . import inner_loop, linalg, policy
 from .errors import DefinitenessError, UnstableError
-from .trace import OuterTrace, TraceRow
+from .trace import OuterTrace, trace_row
 
 AG = "AG"
 GDA = "GDA"
@@ -81,16 +81,6 @@ def _evaluate_at(game, K, L, where):
                             rho=e.rho) from e
 
 
-def _trace_row(game, ev, t, L, K, map_norm):
-    Qt = game.Q - L.T @ game.Rv @ L
-    return TraceRow(
-        t=t, cost=ev.cost, grad_map_norm=map_norm,
-        grad_norm=float(np.linalg.norm(ev.gradL, "fro")),
-        lambda_min_qtilde=linalg.min_eigenvalue_sym(0.5 * (Qt + Qt.T)),
-        rho=ev.rho, proj_active=False, K=K.copy(), L=L.copy(),
-        grad_k_norm=float(np.linalg.norm(ev.gradK, "fro")))
-
-
 def run_ag(game, pi0, cfg):
     """Alternating gradient from a stabilizing pair."""
     if cfg.family != AG:
@@ -110,7 +100,8 @@ def run_ag(game, pi0, cfg):
         ev = _evaluate_at(game, K, L, f"outer step {t}, after inner loop")
         D = _l_direction(game, ev, cfg.flavor)
         map_norm = 0.5 * float(np.linalg.norm(D, "fro"))
-        trace.append(_trace_row(game, ev, t, L, K, map_norm))
+        trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho,
+                               grad_map_norm=map_norm, K=K, gradK=ev.gradK))
         if map_norm <= cfg.tol:
             trace.converged = True
             break
@@ -134,10 +125,9 @@ def run_gda(game, pi0, cfg):
         ev = _evaluate_at(game, K, L, f"step {t}")
         D = _l_direction(game, ev, cfg.flavor)
         map_norm = 0.5 * float(np.linalg.norm(D, "fro"))
-        trace.append(_trace_row(game, ev, t, L, K, map_norm))
-        gk = float(np.linalg.norm(ev.gradK, "fro"))
-        gl = float(np.linalg.norm(ev.gradL, "fro"))
-        if max(gk, gl) <= cfg.tol:
+        trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho,
+                               grad_map_norm=map_norm, K=K, gradK=ev.gradK))
+        if max(trace.rows[-1].grad_k_norm, trace.rows[-1].grad_norm) <= cfg.tol:
             trace.converged = True
             break
         if t < cfg.max_outer:

@@ -11,25 +11,40 @@ level summary.json aggregates the per-solver summaries.
 Reruns with the same config and seeds are byte-identical: no timestamps or
 timing data reach the artifacts, float formatting is repr-based, and every
 solver is deterministic given its seed.
-
-LQGAME_THREADS caps how many solvers run concurrently (default: cpu count).
 """
 
+import dataclasses
 import json
-import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, game as game_mod, inner_loop, modelfree, outer_loop, svgplot
+from . import baselines, game as game_mod, inner_loop, linalg, modelfree, outer_loop, svgplot
 from .errors import ConfigError, LqGamesError
 from .policy import PolicyPair
-from .trace import OuterTrace, TraceRow
+from .trace import OuterTrace, trace_row
 
-SOLVER_KINDS = ("nested", "ag", "gda", "modelfree-inner", "modelfree-outer")
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+_BASELINE_KEYS = _field_names(baselines.BaselineConfig) - {"family"} | {"K0", "L0"}
+# The keys each solver kind reads besides "solver" and "name": the fields of
+# its config dataclass plus the runner's own arguments. Any other key is
+# rejected before a solver runs.
+SPEC_KEYS = {
+    "nested": _field_names(outer_loop.OuterConfig) | {"L0"},
+    "ag": _BASELINE_KEYS,
+    "gda": _BASELINE_KEYS,
+    "modelfree-inner": _field_names(modelfree.EstimatorConfig)
+    | {"L", "K0", "steps", "alpha", "flavor", "tol"},
+    "modelfree-outer": _field_names(modelfree.EstimatorConfig)
+    | {"L0", "T", "eta", "flavor", "projection", "inner_steps", "inner_alpha", "inner_flavor"},
+}
+SOLVER_KINDS = tuple(SPEC_KEYS)
 
 _NAME_RE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -46,10 +61,7 @@ class ExperimentConfig:
     def from_dict(cls, d, require_solvers=True):
         if not isinstance(d, dict):
             raise ConfigError("experiment config must be a JSON object")
-        known = {"game", "solvers", "zeta", "seed", "out"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(d, {"game", "solvers", "zeta", "seed", "out"}, "experiment config")
         cfg = cls(
             game=d.get("game", "case1"),
             solvers=list(d.get("solvers", [])),
@@ -72,6 +84,12 @@ class ExperimentConfig:
             if name in seen:
                 raise ConfigError(f"duplicate solver name {name!r}")
             seen.add(name)
+            _check_keys(spec, SPEC_KEYS[spec["solver"]] | {"solver", "name"}, f"solver {name!r}")
+            if spec["solver"] == "nested":
+                inner = spec.get("inner", {})
+                if not isinstance(inner, dict):
+                    raise ConfigError(f"solver {name!r}: 'inner' must be an object")
+                _check_keys(inner, _field_names(inner_loop.InnerConfig), f"solver {name!r} inner")
         return cfg
 
     @classmethod
@@ -84,6 +102,27 @@ class ExperimentConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         return cls.from_dict(d, require_solvers=require_solvers)
+
+
+def _check_keys(d, known, where):
+    unknown = set(d) - known
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _config(base, spec, **fixed):
+    """base with the spec's values for its fields, JSON numbers coerced to the
+    field's int or float type, and then the fixed values."""
+    given = {}
+    for f in dataclasses.fields(base):
+        if f.name in spec and f.name not in fixed:
+            value = spec[f.name]
+            if value is not None and f.type is int:
+                value = int(value)
+            elif value is not None and f.type in (float, float | None):
+                value = float(value)
+            given[f.name] = value
+    return dataclasses.replace(base, **given, **fixed)
 
 
 def solver_name(spec):
@@ -100,17 +139,6 @@ def load_game(source):
     if source == "case2":
         return game_mod.case2()
     return game_mod.LqGame.load(source)
-
-
-def max_workers():
-    raw = os.environ.get("LQGAME_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"LQGAME_THREADS must be an integer, got {raw!r}") from None
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
 
 
 def _zeros_L(game):
@@ -132,20 +160,9 @@ def _default_pi0(game):
     return PolicyPair(K=K0, L=_zeros_L(game))
 
 
-def _run_nested(game, spec, omega, seed):
-    inner_spec = dict(spec.get("inner", {}))
-    icfg = inner_loop.InnerConfig(
-        method=inner_spec.get("method", inner_loop.RICCATI),
-        alpha=inner_spec.get("alpha"),
-        tol=float(inner_spec.get("tol", 1e-8)),
-        max_iter=int(inner_spec.get("max_iter", 100_000)))
-    cfg = outer_loop.OuterConfig(
-        variant=spec.get("variant", outer_loop.GAUSS_NEWTON_NG),
-        eta=spec.get("eta"),
-        tol=float(spec.get("tol", 1e-6)),
-        max_iter=int(spec.get("max_iter", 10_000)),
-        inner=icfg,
-        projection=spec.get("projection", outer_loop.PROJECTION_OFF))
+def _run_nested(game, spec, omega):
+    base = outer_loop.OuterConfig()
+    cfg = _config(base, spec, inner=_config(base.inner, spec.get("inner", {})))
     L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0")
     if L0 is None:
         L0 = _zeros_L(game)
@@ -153,17 +170,9 @@ def _run_nested(game, spec, omega, seed):
     return trace
 
 
-def _run_baseline(game, spec, seed):
+def _run_baseline(game, spec):
     family = baselines.AG if spec["solver"] == "ag" else baselines.GDA
-    cfg = baselines.BaselineConfig(
-        family=family,
-        flavor=spec.get("flavor", inner_loop.GAUSS_NEWTON),
-        eta=float(spec.get("eta", 0.05)),
-        inner_iters=int(spec.get("inner_iters", 5)),
-        max_outer=int(spec.get("max_outer", 10_000)),
-        tol=float(spec.get("tol", 1e-6)),
-        inner_alpha=spec.get("inner_alpha"),
-        inner_tol=float(spec.get("inner_tol", 0.0)))
+    cfg = _config(baselines.BaselineConfig(), spec, family=family)
     K0 = _parse_gain(spec.get("K0"), game.m1, game.d, "K0")
     L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0")
     if K0 is None and L0 is None:
@@ -179,17 +188,8 @@ def _run_baseline(game, spec, seed):
     return trace
 
 
-def _estimator_cfg(spec, seed):
-    return modelfree.EstimatorConfig(
-        m=int(spec.get("m", 1000)),
-        R=int(spec.get("R", 100)),
-        r=float(spec.get("r", 0.05)),
-        seed=int(spec.get("seed", seed)),
-        x0_dist=spec.get("x0_dist", modelfree.X0_GAUSSIAN))
-
-
 def _run_modelfree_inner(game, spec, seed):
-    cfg = _estimator_cfg(spec, seed)
+    cfg = _config(modelfree.EstimatorConfig(seed=seed), spec)
     L = _parse_gain(spec.get("L"), game.m2, game.d, "L")
     if L is None:
         L = _zeros_L(game)
@@ -200,18 +200,11 @@ def _run_modelfree_inner(game, spec, seed):
     alpha = spec.get("alpha", 0.05)
     flavor = spec.get("flavor", inner_loop.NATURAL_PG)
     trace = OuterTrace(meta={"variant": f"modelfree-inner-{flavor}"})
-    qt = game.Q - L.T @ game.Rv @ L
-    lam = float(np.linalg.eigvalsh(0.5 * (qt + qt.T))[0])
+    margin = game_mod.qtilde_min(game, L)
 
-    def record(j, K, grad, Sigma, extras):
-        acl = game.A - game.B @ K - game.C @ L
-        trace.append(TraceRow(
-            t=j, cost=float(extras.get("cost_mean", math.nan)),
-            grad_map_norm=0.5 * float(np.linalg.norm(grad, "fro")),
-            grad_norm=float(np.linalg.norm(grad, "fro")),
-            lambda_min_qtilde=lam,
-            rho=float(np.abs(np.linalg.eigvals(acl)).max()),
-            proj_active=False, K=K.copy()))
+    def record(j, K, est):
+        rho = linalg.spectral_radius(game.A - game.B @ K - game.C @ L)
+        trace.append(trace_row(game, j, L, est.cost_mean, est.grad, rho, K=K, margin=margin))
 
     modelfree.inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=flavor,
                                  tol=spec.get("tol"), record=record)
@@ -220,7 +213,7 @@ def _run_modelfree_inner(game, spec, seed):
 
 
 def _run_modelfree_outer(game, spec, omega, seed):
-    cfg = _estimator_cfg(spec, seed)
+    cfg = _config(modelfree.EstimatorConfig(seed=seed), spec)
     L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0")
     if L0 is None:
         L0 = _zeros_L(game)
@@ -241,9 +234,9 @@ def _run_modelfree_outer(game, spec, omega, seed):
 def run_solver(game, spec, omega, seed):
     kind = spec["solver"]
     if kind == "nested":
-        return _run_nested(game, spec, omega, seed)
+        return _run_nested(game, spec, omega)
     if kind in ("ag", "gda"):
-        return _run_baseline(game, spec, seed)
+        return _run_baseline(game, spec)
     if kind == "modelfree-inner":
         return _run_modelfree_inner(game, spec, seed)
     return _run_modelfree_outer(game, spec, omega, seed)
@@ -288,7 +281,8 @@ def run_experiment(cfg, out_dir=None, seed=None):
 
     nu = float(np.linalg.eigvalsh(outer_loop.w_matrix(gm, nash.Pstar))[0])
 
-    def one(spec):
+    solvers = {}
+    for spec in cfg.solvers:
         name = solver_name(spec)
         try:
             trace = run_solver(gm, spec, omega, base_seed)
@@ -298,19 +292,10 @@ def run_experiment(cfg, out_dir=None, seed=None):
             trace.write_summary(os.path.join(out_dir, f"{name}.json"),
                                 oracle_value=nash.value)
             _write_plots(out_dir, name)
-            return name, trace.summary(oracle_value=nash.value)
+            solvers[name] = trace.summary(oracle_value=nash.value)
         except (LqGamesError, np.linalg.LinAlgError, ValueError) as e:
-            return name, {"error": f"{type(e).__name__}: {e}", "converged": False}
-
-    workers = min(max_workers(), max(1, len(cfg.solvers)))
-    if workers > 1 and len(cfg.solvers) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, cfg.solvers))
-    else:
-        results = [one(spec) for spec in cfg.solvers]
-
-    solvers = {name: summ for name, summ in results}
-    failing = [name for name, summ in results if not summ.get("converged")]
+            solvers[name] = {"error": f"{type(e).__name__}: {e}", "converged": False}
+    failing = [name for name, summ in solvers.items() if not summ.get("converged")]
     aggregate = {
         "game": cfg.game,
         "zeta": float(omega.zeta),

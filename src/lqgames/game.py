@@ -228,11 +228,15 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=GARE_DEFAULT_MAX_ITER):
                         iterations=k + 1, residual=residual)
 
 
+def qtilde_min(game, L):
+    """lambda_min(Q - L^T Rv L), the constraint margin of the maximizer gain L."""
+    return linalg.min_eigenvalue_sym(game.Q - L.T @ game.Rv @ L)
+
+
 def check_assumptions(game, sol):
     """Margins of the two equilibrium conditions; flags are (margin > 0)."""
     rv_margin = linalg.min_eigenvalue_sym(game.Rv - game.C.T @ sol.Pstar @ game.C)
-    ql_margin = linalg.min_eigenvalue_sym(game.Q - sol.Lstar.T @ game.Rv @ sol.Lstar)
-    return AssumptionReport(rv_margin=rv_margin, ql_margin=ql_margin)
+    return AssumptionReport(rv_margin=rv_margin, ql_margin=qtilde_min(game, sol.Lstar))
 
 
 _A_BENCH = [[0.956488, 0.0816012, -0.0005],

@@ -15,12 +15,14 @@ NaturalPG's default stepsize is adaptive, alpha = 1/(2 ||Ru + B^T P B||);
 GaussNewton at alpha = 1/2 is the exact one-step best response in P.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, policy
 from .errors import ConvergenceError, DefinitenessError, UnstableError
+from .game import qtilde_min
+from .trace import TraceRow, trace_row
 
 RICCATI_DEFAULT_TOL = 1e-12
 RICCATI_DEFAULT_MAX_ITER = 100_000
@@ -63,26 +65,14 @@ class InnerConfig:
 
 
 @dataclass
-class InnerTraceRow:
-    iter: int
-    cost: float
-    grad_norm: float
-    rho: float
-
-
-@dataclass
 class InnerResult:
+    """trace rows record ||gradK|| as grad_norm, one row per visited K."""
+
     K: np.ndarray
     P: np.ndarray
     iterations: int
     final_grad_norm: float
-    trace: list[InnerTraceRow] = field(default_factory=list)
-
-    def trace_csv(self):
-        lines = ["iter,cost,grad_norm,rho"]
-        for row in self.trace:
-            lines.append(f"{row.iter},{row.cost!r},{row.grad_norm!r},{row.rho!r}")
-        return "\n".join(lines) + "\n"
+    trace: list[TraceRow]
 
 
 def pg_update(K, grad, alpha):
@@ -104,7 +94,6 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAU
     L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
     Qt = game.Q - L.T @ game.Rv @ L
     Qt = 0.5 * (Qt + Qt.T)
-    qt_min = linalg.min_eigenvalue_sym(Qt)
     At = game.A - game.C @ L
     B, Ru = game.B, game.Ru
 
@@ -114,7 +103,7 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAU
         G = Ru + B.T @ P @ B
         # built here from symmetric Ru and P, so no re-validation
         if np.linalg.eigvalsh(G)[0] <= 0.0:
-            _raise_inner_domain(qt_min, k, np.nan,
+            _raise_inner_domain(game, L, k, np.nan,
                                 "Ru + B^T P B lost definiteness during iteration")
         Kn = np.linalg.solve(G, B.T @ P @ At)
         Pn = Qt + At.T @ P @ At - At.T @ P @ B @ Kn
@@ -124,20 +113,21 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAU
         if step <= tol:
             break
         if not np.isfinite(step):
-            _raise_inner_domain(qt_min, k, step, "iteration diverged")
+            _raise_inner_domain(game, L, k, step, "iteration diverged")
     else:
-        _raise_inner_domain(qt_min, max_iter, step, "iteration cap reached")
+        _raise_inner_domain(game, L, max_iter, step, "iteration cap reached")
 
     K = np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ At)
     rho = linalg.require_stable(game.A - game.B @ K - game.C @ L,
                                 context="inner Riccati solution")
-    grad_norm = _grad_norm_at(game, K, L)
-    return InnerResult(K=K, P=P, iterations=k + 1, final_grad_norm=grad_norm,
-                       trace=[InnerTraceRow(0, float(np.trace(P @ game.Sigma0)),
-                                            grad_norm, rho)])
+    row = trace_row(game, 0, L, float(np.trace(P @ game.Sigma0)),
+                    policy.evaluate(game, policy.PolicyPair(K=K, L=L)).gradK, rho, K=K)
+    return InnerResult(K=K, P=P, iterations=k + 1, final_grad_norm=row.grad_norm,
+                       trace=[row])
 
 
-def _raise_inner_domain(qt_min, iteration, residual, reason):
+def _raise_inner_domain(game, L, iteration, residual, reason):
+    qt_min = qtilde_min(game, L)
     if qt_min <= 0.0:
         raise DefinitenessError(
             f"inner Riccati solve failed ({reason} at iteration {iteration}); "
@@ -146,11 +136,6 @@ def _raise_inner_domain(qt_min, iteration, residual, reason):
     raise ConvergenceError(
         f"inner Riccati solve failed: {reason} at iteration {iteration}",
         residual=residual, iterations=iteration)
-
-
-def _grad_norm_at(game, K, L):
-    ev = policy.evaluate(game, policy.PolicyPair(K=K, L=L))
-    return float(np.linalg.norm(ev.gradK, "fro"))
 
 
 def _step_from_eval(game, K, ev, cfg):
@@ -192,6 +177,7 @@ def solve_inner(game, L, K0, cfg):
         return res
 
     K = linalg.as_matrix(K0, rows=game.m1, cols=game.d, name="K0")
+    margin = qtilde_min(game, L)
     trace = []
     for t in range(cfg.max_iter + 1):
         try:
@@ -201,8 +187,8 @@ def solve_inner(game, L, K0, cfg):
                 f"inner loop lost stability at iteration {t} "
                 f"(rho = {e.rho:.6f}); stepsize likely too large",
                 rho=e.rho, iteration=t) from e
-        grad_norm = float(np.linalg.norm(ev.gradK, "fro"))
-        trace.append(InnerTraceRow(t, ev.cost, grad_norm, ev.rho))
+        trace.append(trace_row(game, t, L, ev.cost, ev.gradK, ev.rho, K=K, margin=margin))
+        grad_norm = trace[-1].grad_norm
         if grad_norm <= cfg.tol:
             return InnerResult(K=K, P=ev.P, iterations=t,
                                final_grad_norm=grad_norm, trace=trace)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import inner_loop, linalg, outer_loop
 from .errors import ConfigError, SampleError
-from .trace import OuterTrace, TraceRow
+from .trace import OuterTrace, trace_row
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,31 +62,10 @@ class GradEstimate:
     m: int
     rho_max: float
 
-    def diagnostics(self):
-        return {"cost_mean": self.cost_mean, "cost_std": self.cost_std,
-                "m": self.m, "rho_max": self.rho_max}
-
 
 def _generator(seed, stream):
     key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_sphere(dim_rows, dim_cols, radius, stream, seed=0):
-    """One matrix uniform on the Frobenius sphere of the given radius.
-
-    stream selects an independent Philox stream; identical (seed, stream)
-    reproduces the draw exactly.
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    gen = _generator(seed, stream)
-    w = gen.standard_normal(dim_rows * dim_cols)
-    n = np.linalg.norm(w)
-    while n == 0.0:  # probability zero, but keep the contract airtight
-        w = gen.standard_normal(dim_rows * dim_cols)
-        n = np.linalg.norm(w)
-    return (radius / n) * w.reshape(dim_rows, dim_cols)
 
 
 def rollout_length_for(rho, decay=1e-10):
@@ -214,36 +193,12 @@ class RolloutEngine:
                             cost_mean=float(costs.mean()), cost_std=float(costs.std()),
                             m=m, rho_max=rho_max)
 
-    def simulate_pair(self, K, L, m, R):
-        """Sampled (cost, Sigma) for a fixed unperturbed pair."""
-        g = self.game
-        x0 = self.draw_x0(m)
-        Acl = g.A - g.B @ K - g.C @ L
-        rho = linalg.spectral_radius(Acl)
-        if rho >= 1.0 - linalg.STABILITY_MARGIN:
-            raise SampleError(f"pair is not stabilizing (rho = {rho:.6f})")
-        Wstage = g.Q + K.T @ g.Ru @ K - L.T @ g.Rv @ L
-        cost, Sigma = self._rollout(np.broadcast_to(Acl, (m, g.d, g.d)),
-                                    np.broadcast_to(Wstage, (m, g.d, g.d)), x0, R)
-        return float(cost.mean()), 0.5 * (Sigma + Sigma.T)
-
 
 def estimate_grad_sigma(game, K, L, cfg):
     """One-shot (gradK_hat, Sigma_hat) at (K, L) under cfg's budget and seed."""
     est = RolloutEngine(game, cfg.seed, cfg.x0_dist).estimate_inner(
         K, L, cfg.m, cfg.R, cfg.r)
     return est.grad, est.Sigma
-
-
-def _coerce_estimate(out):
-    """Estimators may return a GradEstimate, a (grad, Sigma) pair, or a
-    (grad, Sigma, extras) triple."""
-    if isinstance(out, GradEstimate):
-        return out.grad, out.Sigma, out.diagnostics()
-    if len(out) == 3:
-        return out
-    grad, Sigma = out
-    return grad, Sigma, {}
 
 
 def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL_PG,
@@ -254,9 +209,10 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     with the sampled Sigma. The Gauss-Newton inner update needs P itself and
     cannot be estimated this way, so it is rejected. estimator(K, L) may
     replace the sampler (used to validate the wiring against the analytic
-    inner loop); tol, when set, stops early once the estimated gradient norm
-    falls below it. record(j, K, grad, Sigma, extras) is called once per
-    visited iterate, for instrumentation.
+    inner loop) and must return a GradEstimate; tol, when set, stops early
+    once the estimated gradient norm falls below it. record(j, K, est) is
+    called with each visited iterate and its GradEstimate, for
+    instrumentation.
     """
     if flavor == inner_loop.GAUSS_NEWTON:
         raise ConfigError("the Gauss-Newton inner update cannot be estimated "
@@ -272,17 +228,17 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     L = np.asarray(L, dtype=float)
     for j in range(steps):
         try:
-            grad, Sigma, extras = _coerce_estimate(estimator(K, L))
+            est = estimator(K, L)
         except SampleError as e:
             raise SampleError(f"inner step {j}: {e}", index=e.index) from e
         if record is not None:
-            record(j, K, grad, Sigma, extras)
-        if tol is not None and np.linalg.norm(grad, "fro") <= tol:
+            record(j, K, est)
+        if tol is not None and np.linalg.norm(est.grad, "fro") <= tol:
             break
         if flavor == inner_loop.PG:
-            K = inner_loop.pg_update(K, grad, alpha)
+            K = inner_loop.pg_update(K, est.grad, alpha)
         else:
-            K = inner_loop.natural_pg_update(K, grad, Sigma, alpha)
+            K = inner_loop.natural_pg_update(K, est.grad, est.Sigma, alpha)
     return K
 
 
@@ -298,8 +254,8 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     estimate. flavor NG steps along grad_hat, NaturalNG along
     grad_hat Sigma_hat^{-1}; omega, when given, projects the update.
 
-    estimator(L) -> (gradL_hat, Sigma_hat[, extras dict]) may replace the
-    whole sampling block (used for analytic wiring checks).
+    estimator(L) -> GradEstimate may replace the whole sampling block (used
+    for analytic wiring checks).
     """
     if flavor not in (outer_loop.NG, outer_loop.NATURAL_NG):
         raise ConfigError("model-free outer flavor must be NG or NaturalNG")
@@ -328,27 +284,15 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     trace = OuterTrace(meta={"variant": f"modelfree-{flavor}",
                              "mu": float(linalg.min_eigenvalue_sym(game.Sigma0))})
     for t in range(T + 1):
-        grad, Sigma, extras = _coerce_estimate(estimator(L))
+        est = estimator(L)
         if flavor == outer_loop.NG:
-            D = grad
+            D = est.grad
         else:
-            D = np.linalg.solve(Sigma, grad.T).T
-        cand = L + eta * D
-        proj_active = False
-        if omega is not None:
-            proj_active = omega.margin(cand, game) < -outer_loop.INTERIOR_SLACK
-            Lp = outer_loop.project_omega(cand, omega, game) if proj_active else cand
-        else:
-            Lp = cand
-        mapping = (Lp - L) / (2.0 * eta)
-        Qt = game.Q - L.T @ game.Rv @ L
-        trace.append(TraceRow(
-            t=t, cost=float(extras.get("cost_mean", math.nan)),
-            grad_map_norm=float(np.linalg.norm(mapping, "fro")),
-            grad_norm=float(np.linalg.norm(grad, "fro")),
-            lambda_min_qtilde=linalg.min_eigenvalue_sym(0.5 * (Qt + Qt.T)),
-            rho=float(extras.get("rho_max", math.nan)),
-            proj_active=proj_active, L=L.copy()))
+            D = np.linalg.solve(est.Sigma, est.grad.T).T
+        Lp, mapping, proj_active = outer_loop.projected_step(game, L, D, eta, omega)
+        trace.append(trace_row(game, t, L, est.cost_mean, est.grad, est.rho_max,
+                               grad_map_norm=float(np.linalg.norm(mapping, "fro")),
+                               proj_active=proj_active))
         if t < T:
             L = Lp
     return L, trace

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import inner_loop, linalg, policy
 from .errors import ConvergenceError, DefinitenessError, UnstableError
-from .trace import OuterTrace, TraceRow
+from .game import qtilde_min
+from .trace import OuterTrace, trace_row
 
 NG = "NG"
 NATURAL_NG = "NaturalNG"
@@ -62,24 +63,18 @@ class OmegaSet:
         """Build Omega for a game. Default zeta: half the minimum eigenvalue of
         Q - L*^T Rv L* when a Nash solution is supplied and that margin is
         positive, else half the minimum eigenvalue of Q."""
+        margin = qtilde_min(game, nash.Lstar) if nash is not None else None
         if zeta is None:
-            margin = None
-            if nash is not None:
-                Qt = game.Q - nash.Lstar.T @ game.Rv @ nash.Lstar
-                margin = linalg.min_eigenvalue_sym(0.5 * (Qt + Qt.T))
             if margin is not None and margin > 0.0:
                 zeta = 0.5 * margin
             else:
                 zeta = 0.5 * linalg.min_eigenvalue_sym(game.Q)
         else:
             zeta = float(zeta)
-            if nash is not None:
-                Qt = game.Q - nash.Lstar.T @ game.Rv @ nash.Lstar
-                margin = linalg.min_eigenvalue_sym(0.5 * (Qt + Qt.T))
-                if margin > 0.0 and zeta >= margin:
-                    raise ValueError(
-                        f"zeta={zeta:g} must stay below the equilibrium margin {margin:.6g} "
-                        "or Omega excludes the Nash gain")
+            if margin is not None and margin > 0.0 and zeta >= margin:
+                raise ValueError(
+                    f"zeta={zeta:g} must stay below the equilibrium margin {margin:.6g} "
+                    "or Omega excludes the Nash gain")
         return cls(zeta=zeta, M=game.Q - zeta * np.eye(game.d))
 
     def margin(self, L, game):
@@ -167,27 +162,31 @@ def _direction(game, ev, cfg):
     return D, eta
 
 
-def _apply_outer_step(game, L, ev, cfg, omega):
-    """Shared step arithmetic: returns (L', mapping, proj_active, eta)."""
-    D, eta = _direction(game, ev, cfg)
+def projected_step(game, L, D, eta, omega=None):
+    """L' = Proj[L + eta * D], projected only when omega is given and the
+    candidate leaves it. Returns (L', mapping (L' - L)/(2 eta), proj_active).
+    """
     cand = L + eta * D
-    proj_active = False
-    if cfg.projection == PROJECTION_WHITENED_SV_CLIP:
-        if omega is None:
-            raise ValueError("projection WhitenedSvClip requires an OmegaSet")
-        proj_active = omega.margin(cand, game) < -INTERIOR_SLACK
-        Lp = project_omega(cand, omega, game) if proj_active else cand
-    else:
-        Lp = cand
-    mapping = (Lp - L) / (2.0 * eta)
-    return Lp, mapping, proj_active, eta
+    proj_active = omega is not None and omega.margin(cand, game) < -INTERIOR_SLACK
+    Lp = project_omega(cand, omega, game) if proj_active else cand
+    return Lp, (Lp - L) / (2.0 * eta), proj_active
+
+
+def _projection_set(cfg, omega):
+    """The set cfg's outer steps project onto, or None when projection is Off."""
+    if cfg.projection != PROJECTION_WHITENED_SV_CLIP:
+        return None
+    if omega is None:
+        raise ValueError("projection WhitenedSvClip requires an OmegaSet")
+    return omega
 
 
 def outer_step(game, L, inner_res, cfg, omega=None):
     """One projected outer update of L from a valid inner result at L."""
     L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
     ev = policy.evaluate(game, policy.PolicyPair(K=inner_res.K, L=L))
-    Lp, mapping, _, _ = _apply_outer_step(game, L, ev, cfg, omega)
+    Lp, mapping, _ = projected_step(game, L, *_direction(game, ev, cfg),
+                                    _projection_set(cfg, omega))
     return Lp, mapping
 
 
@@ -222,11 +221,9 @@ def solve_nested(game, L0, cfg, omega=None):
     Returns the final (K(L_T), L_T) pair and the full per-iteration trace.
     """
     L = linalg.as_matrix(L0, rows=game.m2, cols=game.d, name="L0")
-    if cfg.projection == PROJECTION_WHITENED_SV_CLIP:
-        if omega is None:
-            raise ValueError("projection WhitenedSvClip requires an OmegaSet")
-        if omega.margin(L, game) < -1e-9:
-            raise ValueError("L0 lies outside Omega")
+    omega = _projection_set(cfg, omega)
+    if omega is not None and omega.margin(L, game) < -1e-9:
+        raise ValueError("L0 lies outside Omega")
 
     trace = OuterTrace(meta={
         "variant": cfg.variant,
@@ -243,15 +240,10 @@ def solve_nested(game, L0, cfg, omega=None):
         except (ConvergenceError, DefinitenessError, UnstableError) as e:
             e.trace = trace  # partial progress travels with the failure
             raise
-        Lp, mapping, proj_active, _ = _apply_outer_step(game, L, ev, cfg, omega)
+        Lp, mapping, proj_active = projected_step(game, L, *_direction(game, ev, cfg), omega)
         map_norm = float(np.linalg.norm(mapping, "fro"))
-        Qt = game.Q - L.T @ game.Rv @ L
-        trace.append(TraceRow(
-            t=t, cost=ev.cost, grad_map_norm=map_norm,
-            grad_norm=float(np.linalg.norm(ev.gradL, "fro")),
-            lambda_min_qtilde=linalg.min_eigenvalue_sym(0.5 * (Qt + Qt.T)),
-            rho=ev.rho, proj_active=proj_active,
-            K=inner_res.K.copy(), L=L.copy()))
+        trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho, grad_map_norm=map_norm,
+                               proj_active=proj_active, K=inner_res.K))
         if map_norm <= cfg.tol:
             trace.converged = True
             break

@@ -1,7 +1,8 @@
-"""Per-iteration traces of the outer solvers plus CSV/JSON serialization.
+"""Per-iteration traces of the solvers plus CSV/JSON serialization.
 
-One schema serves the nested methods, the AG/GDA baselines, and the
-model-free runs so downstream tooling (plots, comparisons) stays uniform.
+One schema serves the nested methods, the inner loop, the AG/GDA baselines,
+and the model-free runs so downstream tooling (plots, comparisons) stays
+uniform; every row is built by trace_row.
 CSV columns are fixed; floats are written with repr so a rerun with the
 same inputs produces byte-identical files.
 """
@@ -11,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .game import qtilde_min
 
 CSV_HEADER = "t,cost,grad_map_norm,grad_norm,lambda_min_qtilde,rho,proj_active"
 
@@ -31,6 +34,26 @@ class TraceRow:
     K: np.ndarray | None = None
     L: np.ndarray | None = None
     grad_k_norm: float | None = None
+
+
+def trace_row(game, t, L, cost, grad, rho, grad_map_norm=None, proj_active=False,
+              K=None, gradK=None, margin=None):
+    """The row for iterate t at the gains (K, L).
+
+    grad is the gradient of the player being updated. grad_map_norm defaults
+    to ||grad||/2, the mapping norm of an unprojected plain-gradient step.
+    margin is lambda_min(Q - L^T Rv L); loops over a fixed L pass it in
+    rather than recompute it per row.
+    """
+    grad_norm = float(np.linalg.norm(grad, "fro"))
+    return TraceRow(
+        t=t, cost=cost,
+        grad_map_norm=0.5 * grad_norm if grad_map_norm is None else grad_map_norm,
+        grad_norm=grad_norm,
+        lambda_min_qtilde=qtilde_min(game, L) if margin is None else margin,
+        rho=rho, proj_active=proj_active,
+        K=None if K is None else K.copy(), L=L.copy(),
+        grad_k_norm=None if gradK is None else float(np.linalg.norm(gradK, "fro")))
 
 
 def _f(x):

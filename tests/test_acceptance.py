@@ -282,7 +282,8 @@ def test_criterion_11_sampled_loops_reduce_to_analytic_loops(g1, k1_at_zero):
 
         def exact_inner(K_, L_):
             ev = lq.evaluate(g1, lq.PolicyPair(K_, L_))
-            return ev.gradK, ev.Sigma
+            return lq.GradEstimate(grad=ev.gradK, Sigma=ev.Sigma, cost_mean=ev.cost,
+                                   cost_std=0.0, m=0, rho_max=ev.rho)
 
         K_mf = lq.inner_ng_modelfree(g1, L, K0, lq.EstimatorConfig(),
                                      res.iterations + 10, 0.05, flavor=lq.PG,
@@ -303,7 +304,8 @@ def test_criterion_11_sampled_loops_reduce_to_analytic_loops(g1, k1_at_zero):
                 r = lq.solve_inner_riccati(g1, L_)
             hold["P"] = r.P
             ev = lq.evaluate(g1, lq.PolicyPair(r.K, L_))
-            return ev.gradL, ev.Sigma
+            return lq.GradEstimate(grad=ev.gradL, Sigma=ev.Sigma, cost_mean=ev.cost,
+                                   cost_std=0.0, m=0, rho_max=ev.rho)
 
         T = 5
         _, tr_mf = lq.outer_ng_modelfree(g1, np.zeros((1, 3)), lq.EstimatorConfig(),

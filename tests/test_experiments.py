@@ -26,6 +26,17 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(lq.ConfigError):
         experiments.ExperimentConfig.from_dict(
             {"game": "case1", "solvers": [NESTED_GN], "bogus": 1})
+    # a key the solver kind does not read is rejected, not silently ignored
+    for spec in ({"solver": "nested", "tolerance": 1e-9},
+                 {"solver": "nested", "inner": {"tol_": 1e-9}},
+                 {"solver": "nested", "inner": 1e-9},
+                 {"solver": "ag", "etaa": 0.1},
+                 {"solver": "gda", "stpes": 10},
+                 {"solver": "gda", "variant": "NG"},
+                 {"solver": "modelfree-inner", "stpes": 10},
+                 {"solver": "modelfree-outer", "max_iter": 10}):
+        with pytest.raises(lq.ConfigError):
+            experiments.ExperimentConfig.from_dict({"game": "case1", "solvers": [spec]})
 
 
 def test_config_rejects_bad_solver_lists():
@@ -56,6 +67,26 @@ def test_config_rejects_missing_or_broken_files(tmp_path):
     listy.write_text("[1, 2]")
     with pytest.raises(lq.ConfigError):
         experiments.ExperimentConfig.load(str(listy))
+
+
+def test_config_reads_dataclass_defaults_and_coerces_numbers():
+    spec = {"solver": "nested", "tol": 1, "max_iter": 5.0, "inner": {"max_iter": 7.0}}
+    cfg = experiments._config(lq.OuterConfig(), spec,
+                              inner=experiments._config(lq.OuterConfig().inner, spec["inner"]))
+    assert cfg.tol == 1.0 and type(cfg.tol) is float
+    assert cfg.max_iter == 5 and type(cfg.max_iter) is int
+    assert cfg.inner == lq.InnerConfig(method=lq.RICCATI, tol=1e-8, max_iter=7)
+    assert cfg.variant == lq.GAUSS_NEWTON_NG and cfg.eta is None
+
+
+def test_readme_config_runs(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = experiments.ExperimentConfig.from_dict(json.loads(block))
+    summary = experiments.run_experiment(cfg, out_dir=str(tmp_path))
+    assert summary["failing"] == []
 
 
 def test_solver_names_are_derived_and_sanitized():

@@ -6,6 +6,7 @@ import scipy.linalg
 
 import lqgames as lq
 from lqgames import inner_loop
+from lqgames.trace import CSV_HEADER
 
 
 def random_interior_l(game, rng):
@@ -97,9 +98,10 @@ def test_gauss_newton_log_gap_slope(g1, k1_at_zero):
 def test_inner_trace_csv_shape(g1, k1_at_zero):
     cfg = lq.InnerConfig(method=lq.GAUSS_NEWTON, alpha=0.5, tol=1e-10)
     res = lq.solve_inner(g1, np.zeros((1, 3)), k1_at_zero, cfg)
-    lines = res.trace_csv().strip().splitlines()
-    assert lines[0] == "iter,cost,grad_norm,rho"
-    assert len(lines) == res.iterations + 2  # header + rows 0..iterations
+    assert len(res.trace) == res.iterations + 1  # rows 0..iterations
+    lines = lq.OuterTrace(rows=res.trace).to_csv().strip().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == res.iterations + 2  # header + rows
 
 
 def test_config_validation():

@@ -9,21 +9,6 @@ from lqgames import modelfree as mf
 
 # -- sphere sampling ---------------------------------------------------------
 
-def test_sample_sphere_norm_and_reproducibility():
-    for stream in range(10):
-        u = lq.sample_sphere(2, 3, 0.7, stream, seed=4)
-        assert u.shape == (2, 3)
-        assert abs(np.linalg.norm(u) - 0.7) <= 1e-12
-    again = lq.sample_sphere(2, 3, 0.7, 3, seed=4)
-    assert np.array_equal(again, lq.sample_sphere(2, 3, 0.7, 3, seed=4))
-    assert not np.array_equal(lq.sample_sphere(2, 3, 0.7, 0, seed=4),
-                              lq.sample_sphere(2, 3, 0.7, 1, seed=4))
-    assert not np.array_equal(lq.sample_sphere(2, 3, 0.7, 0, seed=4),
-                              lq.sample_sphere(2, 3, 0.7, 0, seed=5))
-    with pytest.raises(ValueError):
-        lq.sample_sphere(1, 3, 0.0, 0)
-
-
 def test_sphere_batches_are_unbiased(g1):
     # entries have std r/sqrt(dim); a 5-sigma band on the mean of 1e5 draws
     eng = mf.RolloutEngine(g1, 123)
@@ -31,6 +16,16 @@ def test_sphere_batches_are_unbiased(g1):
     assert np.allclose(np.linalg.norm(U, axis=(1, 2)), 1.0, atol=1e-12)
     bound = 5.0 / (np.sqrt(3.0) * np.sqrt(100_000.0))
     assert np.max(np.abs(U.mean(axis=0))) <= bound
+
+    # every draw lies on the radius-r sphere; (seed, stream) fixes the draw,
+    # and a different stream or seed changes it
+    first, second = mf.RolloutEngine(g1, 4), mf.RolloutEngine(g1, 4)
+    u0 = first.draw_perturbations(10, 2, 3, 0.7)
+    assert u0.shape == (10, 2, 3)
+    assert np.max(np.abs(np.linalg.norm(u0, axis=(1, 2)) - 0.7)) <= 1e-12
+    assert np.array_equal(u0, second.draw_perturbations(10, 2, 3, 0.7))
+    assert not np.array_equal(u0, first.draw_perturbations(10, 2, 3, 0.7))
+    assert not np.array_equal(u0, mf.RolloutEngine(g1, 5).draw_perturbations(10, 2, 3, 0.7))
 
 
 def test_rollout_length_for():
@@ -118,7 +113,8 @@ def test_destabilizing_perturbation_reports_sample_index(g1, k1_at_zero):
 def _analytic_inner_estimator(game):
     def est(K, L):
         ev = lq.evaluate(game, lq.PolicyPair(K, L))
-        return ev.gradK, ev.Sigma
+        return lq.GradEstimate(grad=ev.gradK, Sigma=ev.Sigma, cost_mean=ev.cost,
+                               cost_std=0.0, m=0, rho_max=ev.rho)
     return est
 
 
@@ -162,7 +158,8 @@ def _mirror_outer_estimator(game, inner_tol):
             res = lq.solve_inner_riccati(game, L)
         hold["P"] = res.P
         ev = lq.evaluate(game, lq.PolicyPair(res.K, L))
-        return ev.gradL, ev.Sigma
+        return lq.GradEstimate(grad=ev.gradL, Sigma=ev.Sigma, cost_mean=ev.cost,
+                               cost_std=0.0, m=0, rho_max=ev.rho)
     return est
 
 
