@@ -85,6 +85,9 @@ class ExperimentConfig:
                 raise ConfigError(f"duplicate solver name {name!r}")
             seen.add(name)
             _check_keys(spec, SPEC_KEYS[spec["solver"]] | {"solver", "name"}, f"solver {name!r}")
+            if spec.get("projection", outer_loop.PROJECTION_OFF) not in outer_loop.PROJECTIONS:
+                raise ConfigError(f"solver {name!r}: unknown projection {spec['projection']!r}; "
+                                  f"expected one of {outer_loop.PROJECTIONS}")
             if spec["solver"] == "nested":
                 inner = spec.get("inner", {})
                 if not isinstance(inner, dict):

@@ -1,4 +1,4 @@
-"""Problem definition, the Riccati fixed-point oracle for the Nash
+"""Problem definition, the Riccati oracle for the Nash
 equilibrium of a zero-sum LQ game, and the standing-assumption checker.
 
 The game is
@@ -188,15 +188,22 @@ def _gare_map(game, P):
 
 
 def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=GARE_DEFAULT_MAX_ITER):
-    """Value iteration for the game Riccati equation, from P0 = Q.
+    """Nash value matrix by Riccati doubling, then fixed-point steps of the
+    game Riccati map.
 
-    Stops when the iteration step, scaled by an estimated contraction
-    factor, bounds the distance to the fixed point below tol/4; the
-    returned residual is the Frobenius norm of P - map(P) and is <= tol.
+    The game equation is X = Q + A^T X (I + G X)^{-1} A with the indefinite
+    G = B Ru^{-1} B^T - C Rv^{-1} C^T, which linalg.riccati_doubling solves in
+    about ten doublings. The map steps that follow stop when the step, scaled
+    by an estimated contraction factor, bounds the distance to the fixed point
+    below tol/4 (normally after one step); the returned residual is the
+    Frobenius norm of P - map(P) and is <= tol. iterations counts doublings
+    plus map steps; max_iter caps the map steps.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    P = game.Q.copy()
+    A, B, C = game.A, game.B, game.C
+    G = B @ np.linalg.solve(game.Ru, B.T) - C @ np.linalg.solve(game.Rv, C.T)
+    P, doublings = linalg.riccati_doubling(A, 0.5 * (G + G.T), game.Q)
     step_prev = np.inf
     for k in range(max_iter):
         Pn, K, L = _gare_map(game, P)
@@ -209,15 +216,17 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=GARE_DEFAULT_MAX_ITER):
             break
     else:
         raise ConvergenceError(
-            f"GARE value iteration did not reach tol={tol:g} in {max_iter} iterations",
-            residual=step_prev, iterations=max_iter)
+            f"GARE fixed-point steps did not reach tol={tol:g} in {max_iter} iterations "
+            f"after {doublings} doublings",
+            residual=step_prev, iterations=doublings + max_iter)
+    iterations = doublings + k + 1
 
     Pcheck, K, L = _gare_map(game, P)
     residual = float(np.linalg.norm(Pcheck - P, "fro"))
     if residual > tol:
         raise ConvergenceError(
             f"GARE residual {residual:.3e} above tol after convergence test",
-            residual=residual, iterations=k + 1)
+            residual=residual, iterations=iterations)
     Acl = game.A - game.B @ K - game.C @ L
     rho = linalg.spectral_radius(Acl)
     if rho >= 1.0 - linalg.STABILITY_MARGIN:
@@ -225,7 +234,7 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=GARE_DEFAULT_MAX_ITER):
             f"GARE solution rejected: closed loop spectral radius {rho:.12g}", rho=rho)
     value = float(np.trace(P @ game.Sigma0))
     return NashSolution(Pstar=P, Kstar=K, Lstar=L, value=value,
-                        iterations=k + 1, residual=residual)
+                        iterations=iterations, residual=residual)
 
 
 def qtilde_min(game, L):

@@ -1,6 +1,7 @@
 """Inner-loop solvers: the minimizer's best response K(L) to a fixed L.
 
-Two routes with one result type: a Riccati fixed-point solve of
+Two routes with one result type: a Riccati solve (doubling, then fixed-point
+steps) of
 
     P = Qt_L + At_L^T P At_L - At_L^T P B (Ru + B^T P B)^{-1} B^T P At_L,
     Qt_L = Q - L^T Rv L,   At_L = A - C L,   K(L) = (Ru + B^T P B)^{-1} B^T P At_L,
@@ -83,13 +84,17 @@ def natural_pg_update(K, grad, Sigma, alpha):
     return K - alpha * np.linalg.solve(Sigma, grad.T).T
 
 
-def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAULT_MAX_ITER,
-                        P0=None):
-    """Fixed-point iteration for the inner Riccati equation, from P0 = Qt_L.
+def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAULT_MAX_ITER):
+    """Best response K(L) from the inner Riccati equation.
+
+    linalg.riccati_doubling solves X = Qt_L + At_L^T X (I + B Ru^{-1} B^T X)^{-1} At_L
+    in a few doublings; fixed-point steps of the map above then run until a
+    step is at most tol, normally one. iterations counts doublings plus steps;
+    max_iter caps the steps.
 
     Qt_L > 0 guarantees solvability; slightly indefinite Qt_L is attempted
-    anyway (the recursion still converges near such points in practice) and
-    only reported as the likely cause when the iteration fails.
+    anyway (the equation still has a stabilizing solution near such points
+    in practice) and only reported as the likely cause when the solve fails.
     """
     L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
     Qt = game.Q - L.T @ game.Rv @ L
@@ -97,13 +102,17 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAU
     At = game.A - game.C @ L
     B, Ru = game.B, game.Ru
 
-    P = Qt.copy() if P0 is None else linalg.symmetrize(P0, name="P0")
+    BRB = B @ np.linalg.solve(Ru, B.T)
+    try:
+        P, doublings = linalg.riccati_doubling(At, 0.5 * (BRB + BRB.T), Qt)
+    except ConvergenceError as e:
+        _raise_inner_domain(game, L, e.iterations, e.residual, str(e))
     step = np.inf
     for k in range(max_iter):
         G = Ru + B.T @ P @ B
         # built here from symmetric Ru and P, so no re-validation
         if np.linalg.eigvalsh(G)[0] <= 0.0:
-            _raise_inner_domain(game, L, k, np.nan,
+            _raise_inner_domain(game, L, doublings + k, np.nan,
                                 "Ru + B^T P B lost definiteness during iteration")
         Kn = np.linalg.solve(G, B.T @ P @ At)
         Pn = Qt + At.T @ P @ At - At.T @ P @ B @ Kn
@@ -113,16 +122,16 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAU
         if step <= tol:
             break
         if not np.isfinite(step):
-            _raise_inner_domain(game, L, k, step, "iteration diverged")
+            _raise_inner_domain(game, L, doublings + k, step, "iteration diverged")
     else:
-        _raise_inner_domain(game, L, max_iter, step, "iteration cap reached")
+        _raise_inner_domain(game, L, doublings + max_iter, step, "iteration cap reached")
 
     K = np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ At)
     rho = linalg.require_stable(game.A - game.B @ K - game.C @ L,
                                 context="inner Riccati solution")
     row = trace_row(game, 0, L, float(np.trace(P @ game.Sigma0)),
                     policy.evaluate(game, policy.PolicyPair(K=K, L=L)).gradK, rho, K=K)
-    return InnerResult(K=K, P=P, iterations=k + 1, final_grad_norm=row.grad_norm,
+    return InnerResult(K=K, P=P, iterations=doublings + k + 1, final_grad_norm=row.grad_norm,
                        trace=[row])
 
 
@@ -172,7 +181,8 @@ def solve_inner(game, L, K0, cfg):
         res = solve_inner_riccati(game, L)
         if res.final_grad_norm > cfg.tol:
             raise ConvergenceError(
-                f"Riccati inner solve left ||gradK|| = {res.final_grad_norm:.3e} > tol",
+                f"Riccati inner solve left ||gradK|| = {res.final_grad_norm:.3e} "
+                f"above the inner tolerance {cfg.tol:g}",
                 residual=res.final_grad_norm, iterations=res.iterations)
         return res
 

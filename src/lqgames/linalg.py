@@ -20,6 +20,9 @@ DLYAP_DIRECT_MAX_DIM = 8
 # the cap bounds the loop for inputs whose powers decay too slowly or overflow.
 DLYAP_DOUBLING_TOL = 1e-16
 DLYAP_DOUBLING_MAX_STEPS = 64
+# Riccati doubling (SDA) uses the same stopping rule and cap on ||A_k||_F^2.
+RICCATI_DOUBLING_TOL = 1e-16
+RICCATI_DOUBLING_MAX_STEPS = 64
 
 
 def as_matrix(M, rows=None, cols=None, name="matrix"):
@@ -109,6 +112,15 @@ def _dlyap_transpose_doubling(Acl, W):
         residual=tail, iterations=DLYAP_DOUBLING_MAX_STEPS)
 
 
+def _dlyap_transpose(Acl, W):
+    """X = Acl^T X Acl + W without input checks: the caller has already
+    established that Acl is stable and W exactly symmetric, of matching size.
+    Kronecker for d <= 8, Smith doubling above."""
+    if Acl.shape[0] <= DLYAP_DIRECT_MAX_DIM:
+        return _dlyap_transpose_direct(Acl, W)
+    return _dlyap_transpose_doubling(Acl, W)
+
+
 def solve_dlyap_transpose(Acl, W):
     """Solve X = Acl^T X Acl + W for stable Acl and symmetric W.
 
@@ -119,14 +131,49 @@ def solve_dlyap_transpose(Acl, W):
     if Acl.shape[0] != W.shape[0]:
         raise DimensionError(f"Acl {Acl.shape} vs W {W.shape}")
     require_stable(Acl, context="solve_dlyap_transpose")
-    if Acl.shape[0] <= DLYAP_DIRECT_MAX_DIM:
-        return _dlyap_transpose_direct(Acl, W)
-    return _dlyap_transpose_doubling(Acl, W)
+    return _dlyap_transpose(Acl, W)
 
 
 def solve_dlyap(Acl, W):
     """Solve X = Acl X Acl^T + W (the state-correlation orientation)."""
     return solve_dlyap_transpose(as_matrix(Acl, name="Acl").T, W)
+
+
+def riccati_doubling(A, G, H):
+    """Structure-preserving doubling (SDA; Chu, Fan and Lin 2005) for the
+    discrete Riccati equation X = H + A^T X (I + G X)^{-1} A, G and H symmetric.
+
+    Each doubling forms W = I + G H and
+        A' = A W^{-1} A,   G' = G + A W^{-1} G A^T,   H' = H + A^T H W^{-1} A.
+    H_k equals the fixed-point iterate after 2^k steps from X = 0, so the limit
+    is the one value iteration reaches, and ||A_k|| decays like the spectral
+    radius of the closed loop at that limit to the power 2^k. Stops once
+    ||A_k||_F^2 <= 1e-16. Returns (X, doublings). A singular W, a non-finite
+    iterate or the step cap raise ConvergenceError.
+    """
+    eye = np.eye(A.shape[0])
+    for k in range(1, RICCATI_DOUBLING_MAX_STEPS + 1):
+        try:
+            # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
+            Y = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+        except np.linalg.LinAlgError as e:
+            raise ConvergenceError(f"riccati_doubling: I + G H is singular at doubling {k}",
+                                   iterations=k) from e
+        WA, WG = np.split(Y, 2, axis=1)
+        G = G + A @ WG @ A.T
+        H = H + A.T @ H @ WA
+        A = A @ WA
+        G = 0.5 * (G + G.T)
+        H = 0.5 * (H + H.T)
+        tail = float(np.sum(A * A))
+        if not (np.isfinite(tail) and np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
+            raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",
+                                   residual=tail, iterations=k)
+        if tail <= RICCATI_DOUBLING_TOL:
+            return H, k
+    raise ConvergenceError(
+        f"riccati_doubling: ||A_k||_F^2 = {tail:.3e} after {RICCATI_DOUBLING_MAX_STEPS} "
+        "doublings", residual=tail, iterations=RICCATI_DOUBLING_MAX_STEPS)
 
 
 def svd(M):

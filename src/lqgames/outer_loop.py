@@ -190,28 +190,14 @@ def outer_step(game, L, inner_res, cfg, omega=None):
     return Lp, mapping
 
 
-def _solve_inner_warm(game, L, K_prev, P_prev, cfg_inner):
-    """Inner solve with warm starts; falls back to a cold Riccati solve when a
-    warm start is destabilized or fails to converge."""
-    if cfg_inner.method == inner_loop.RICCATI:
-        res = None
-        if P_prev is not None:
-            try:
-                res = inner_loop.solve_inner_riccati(game, L, P0=P_prev)
-            except (ConvergenceError, DefinitenessError):
-                res = None
-        if res is None or res.final_grad_norm > cfg_inner.tol:
-            res = inner_loop.solve_inner_riccati(game, L)
-        if res.final_grad_norm > cfg_inner.tol:
-            raise ConvergenceError(
-                f"inner Riccati solve left ||gradK|| = {res.final_grad_norm:.3e} "
-                f"above the inner tolerance {cfg_inner.tol:g}",
-                residual=res.final_grad_norm, iterations=res.iterations)
-        return res
-    K0 = K_prev
-    if K0 is None or not linalg.is_stable(game.A - game.B @ K0 - game.C @ L):
-        K0 = inner_loop.solve_inner_riccati(game, L).K
-    return inner_loop.solve_inner(game, L, K0, cfg_inner)
+def _solve_inner_warm(game, L, K_prev, cfg_inner):
+    """Inner solve at L. The gradient methods start from the previous K while
+    it still stabilizes, else from the Riccati best response; the Riccati
+    method solves cold."""
+    if cfg_inner.method != inner_loop.RICCATI and (
+            K_prev is None or not linalg.is_stable(game.A - game.B @ K_prev - game.C @ L)):
+        K_prev = inner_loop.solve_inner_riccati(game, L).K
+    return inner_loop.solve_inner(game, L, K_prev, cfg_inner)
 
 
 def solve_nested(game, L0, cfg, omega=None):
@@ -231,11 +217,10 @@ def solve_nested(game, L0, cfg, omega=None):
         "mu": float(linalg.min_eigenvalue_sym(game.Sigma0)),
     })
     K_prev = None
-    P_prev = None
     for t in range(cfg.max_iter + 1):
         try:
-            inner_res = _solve_inner_warm(game, L, K_prev, P_prev, cfg.inner)
-            K_prev, P_prev = inner_res.K, inner_res.P
+            inner_res = _solve_inner_warm(game, L, K_prev, cfg.inner)
+            K_prev = inner_res.K
             ev = policy.evaluate(game, policy.PolicyPair(K=inner_res.K, L=L))
         except (ConvergenceError, DefinitenessError, UnstableError) as e:
             e.trace = trace  # partial progress travels with the failure

@@ -4,6 +4,10 @@ Session-scoped because solve_gare is deterministic and read-only; tests must
 not mutate the returned objects.
 """
 
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -41,3 +45,14 @@ def stabilizing_start(game):
     L0 = np.zeros((game.m2, game.d))
     K0 = lq.solve_inner_riccati(game, L0).K
     return lq.PolicyPair(K=K0, L=L0)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """Import perfbench/<name>.py; its modules import each other by bare name,
+    so the directory goes on sys.path."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    return importlib.import_module(name)

@@ -39,6 +39,21 @@ def test_config_rejects_unknown_keys():
             experiments.ExperimentConfig.from_dict({"game": "case1", "solvers": [spec]})
 
 
+def test_config_rejects_unknown_projection(tmp_path, capsys):
+    # a misspelled mode must not run unprojected
+    for kind in ("nested", "modelfree-outer"):
+        spec = {"solver": kind, "projection": "WhitenedSVClip"}
+        with pytest.raises(lq.ConfigError, match="projection"):
+            experiments.ExperimentConfig.from_dict({"game": "case2", "solvers": [spec]})
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "game": "case2",
+        "solvers": [{"solver": "modelfree-outer", "projection": "WhitenedSVClip"}]})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "projection" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_rejects_bad_solver_lists():
     with pytest.raises(lq.ConfigError):
         experiments.ExperimentConfig.from_dict({"game": "case1", "solvers": []})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lqgames as lq
 
@@ -65,6 +66,48 @@ def test_tightening_tol_moves_solution_less_than_tol(g1):
     P_a = lq.solve_gare(g1, tol=tol).Pstar
     P_b = lq.solve_gare(g1, tol=tol / 10).Pstar
     assert np.linalg.norm(P_a - P_b, "fro") < tol
+
+
+def random_game(rng, d, m1, m2):
+    """Open-loop spectral radius 1.02 and a weak disturbance channel."""
+    A = rng.standard_normal((d, d))
+    A *= 1.02 / np.abs(np.linalg.eigvals(A)).max()
+    return lq.LqGame(A=A, B=rng.standard_normal((d, m1)),
+                     C=0.1 * rng.standard_normal((d, m2)) / np.sqrt(d),
+                     Q=np.eye(d), Ru=np.eye(m1), Rv=np.eye(m2), Sigma0=np.eye(d))
+
+
+def _rel(P, P_ref):
+    return np.linalg.norm(P - P_ref, "fro") / np.linalg.norm(P_ref, "fro")
+
+
+@pytest.mark.parametrize("d", [3, 10, 24, 40])
+def test_riccati_solvers_match_scipy_on_random_games(d):
+    # the GARE is a DARE with stacked input [B C] and weight diag(Ru, -Rv); the
+    # inner equation is the DARE in (A - CL, B, Q - L'RvL, Ru)
+    solved = 0
+    for m1 in (1, 2, 3):
+        for m2 in (1, 2, 3):
+            game = random_game(np.random.default_rng([d, m1, m2]), d, m1, m2)
+            try:
+                P_ref = scipy.linalg.solve_discrete_are(
+                    game.A, np.hstack([game.B, game.C]), game.Q,
+                    scipy.linalg.block_diag(game.Ru, -game.Rv))
+            except (ValueError, np.linalg.LinAlgError):
+                # no stabilizing solution: the oracle must fail with a typed error
+                with pytest.raises(lq.ConvergenceError):
+                    lq.solve_gare(game)
+                continue
+            nash = lq.solve_gare(game)
+            assert _rel(nash.Pstar, P_ref) <= 1e-10
+            # a maximizer gain with Q - L'RvL >= I/2, pointing along L*
+            L = nash.Lstar * min(0.5, 1.0 / (2.0 * max(np.linalg.norm(nash.Lstar, 2), 1e-12)))
+            res = lq.solve_inner_riccati(game, L)
+            P_in = scipy.linalg.solve_discrete_are(
+                game.A - game.C @ L, game.B, game.Q - L.T @ game.Rv @ L, game.Ru)
+            assert _rel(res.P, P_in) <= 1e-10
+            solved += 1
+    assert solved >= 7
 
 
 def test_json_round_trip(tmp_path, g1):

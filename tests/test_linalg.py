@@ -117,6 +117,30 @@ def test_dlyap_doubling_cap_raises(monkeypatch):
     assert exc.value.iterations == 1
 
 
+def test_riccati_doubling_matches_scipy_dare():
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(6, 6))
+    B = rng.normal(size=(6, 2))
+    H = random_psd(rng, n=6) + np.eye(6)
+    X, doublings = lin.riccati_doubling(A, B @ B.T, H)
+    X_scipy = scipy.linalg.solve_discrete_are(A, B, H, np.eye(2))
+    assert np.linalg.norm(X - X_scipy, "fro") <= 1e-12 * np.linalg.norm(X_scipy, "fro")
+    assert doublings <= 16
+
+
+def test_riccati_doubling_failures_are_typed(monkeypatch):
+    # W = I + G H singular at the first doubling
+    with pytest.raises(ConvergenceError, match="singular"):
+        lin.riccati_doubling(0.5 * np.eye(3), -np.eye(3), np.eye(3))
+    # no control (G = 0) on an unstable A: A_k = A^(2^k) overflows
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        lin.riccati_doubling(2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3))
+    monkeypatch.setattr(lin, "RICCATI_DOUBLING_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 doublings") as exc:
+        lin.riccati_doubling(0.9 * np.eye(3), np.zeros((3, 3)), np.eye(3))
+    assert exc.value.iterations == 1
+
+
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableError):
         lin.solve_dlyap(np.diag([1.01, 0.2, 0.2]), np.eye(3))

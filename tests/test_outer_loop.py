@@ -6,6 +6,8 @@ import pytest
 import lqgames as lq
 from lqgames import outer_loop
 
+from conftest import load_perfbench
+
 
 def test_w_matrix_closed_forms(g1, nash1):
     # zero input channel: W reduces to Rv - C^T P C
@@ -184,3 +186,17 @@ def test_nested_attaches_partial_trace_on_inner_failure(g1):
     with pytest.raises(lq.ConvergenceError) as exc:
         lq.solve_nested(g1, np.zeros((1, 3)), cfg)
     assert hasattr(exc.value, "trace")
+
+
+def test_riccati_inner_meets_default_tol_on_large_draws():
+    # on these d = 48 benchmark draws the doubling result alone left
+    # ||gradK|| ~ 1.1e-10 > 1e-10; the fixed-point step after it is what passes
+    games, _ = load_perfbench("workloads").draw_games(4)
+    draws = {key: (game, nash) for key, game, nash in games}
+    cfg = lq.OuterConfig(variant=lq.GAUSS_NEWTON_NG,
+                         inner=lq.InnerConfig(method=lq.RICCATI, tol=1e-10))
+    for key in ("d48-2", "d48-3", "d48-10"):
+        game, nash = draws[key]
+        pair, trace = lq.solve_nested(game, np.zeros((game.m2, game.d)), cfg)
+        assert trace.converged, key
+        assert np.abs(pair.L - nash.Lstar).max() <= 1e-6, key
