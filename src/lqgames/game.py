@@ -193,11 +193,13 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=GARE_DEFAULT_MAX_ITER):
 
     The game equation is X = Q + A^T X (I + G X)^{-1} A with the indefinite
     G = B Ru^{-1} B^T - C Rv^{-1} C^T, which linalg.riccati_doubling solves in
-    about ten doublings. The map steps that follow stop when the step, scaled
-    by an estimated contraction factor, bounds the distance to the fixed point
-    below tol/4 (normally after one step); the returned residual is the
-    Frobenius norm of P - map(P) and is <= tol. iterations counts doublings
-    plus map steps; max_iter caps the map steps.
+    about ten doublings. The map steps that follow stop once a step is at
+    most tol/4 and, from the second step on, the step scaled by the estimated
+    contraction factor c/(1 - c) also bounds the distance to the fixed point
+    below tol/4. The first step normally stops the loop, so the accuracy rests
+    on the doubling's stopping rule and that one step; the returned residual
+    is the Frobenius norm of P - map(P) and is <= tol. iterations counts
+    doublings plus map steps; max_iter caps the map steps.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -84,13 +84,21 @@ def natural_pg_update(K, grad, Sigma, alpha):
     return K - alpha * np.linalg.solve(Sigma, grad.T).T
 
 
-def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAULT_MAX_ITER):
+def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAULT_MAX_ITER,
+                        P0=None):
     """Best response K(L) from the inner Riccati equation.
 
-    linalg.riccati_doubling solves X = Qt_L + At_L^T X (I + B Ru^{-1} B^T X)^{-1} At_L
-    in a few doublings; fixed-point steps of the map above then run until a
-    step is at most tol, normally one. iterations counts doublings plus steps;
-    max_iter caps the steps.
+    linalg.riccati_doubling solves X = Qt_L + At_L^T X (I + G X)^{-1} At_L,
+    G = B Ru^{-1} B^T, in a few doublings; fixed-point steps of the map above
+    then run until a step is at most tol, normally one. iterations counts
+    doublings plus steps; max_iter caps the steps.
+
+    A warm start P0 (say, the solution at a nearby L) doubles on the
+    correction D = X - P0 instead, which solves the same kind of equation
+    with the closed loop (I + G P0)^{-1} At_L, the weight (I + G P0)^{-1} G
+    and the residual of P0 as its H. D is small, so the doubling stops once
+    its estimated distance to D is below tol, in fewer doublings than a cold
+    solve.
 
     Qt_L > 0 guarantees solvability; slightly indefinite Qt_L is attempted
     anyway (the equation still has a stabilizing solution near such points
@@ -103,8 +111,20 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAU
     B, Ru = game.B, game.Ru
 
     BRB = B @ np.linalg.solve(Ru, B.T)
+    G = 0.5 * (BRB + BRB.T)
     try:
-        P, doublings = linalg.riccati_doubling(At, 0.5 * (BRB + BRB.T), Qt)
+        if P0 is None:
+            P, doublings = linalg.riccati_doubling(At, G, Qt, tol)
+        else:
+            P0 = linalg.symmetrize(P0, name="P0")
+            try:
+                Y = np.linalg.solve(np.eye(game.d) + G @ P0, np.hstack([At, G]))
+            except np.linalg.LinAlgError as e:
+                raise ConvergenceError("I + G P0 is singular", iterations=0) from e
+            A0, G0 = np.split(Y, 2, axis=1)
+            R = Qt + At.T @ P0 @ A0 - P0
+            D, doublings = linalg.riccati_doubling(A0, 0.5 * (G0 + G0.T), 0.5 * (R + R.T), tol)
+            P = P0 + D
     except ConvergenceError as e:
         _raise_inner_domain(game, L, e.iterations, e.residual, str(e))
     step = np.inf

@@ -16,13 +16,11 @@ STABILITY_MARGIN = 1e-9
 # d <= 8, Smith doubling above. The measured crossover lies between d=6 and
 # d=10; at d=3 Kronecker is about 2x faster.
 DLYAP_DIRECT_MAX_DIM = 8
-# Smith doubling stops once ||Acl^(2^k)||_F^2 falls to about machine epsilon;
-# the cap bounds the loop for inputs whose powers decay too slowly or overflow.
-DLYAP_DOUBLING_TOL = 1e-16
-DLYAP_DOUBLING_MAX_STEPS = 64
-# Riccati doubling (SDA) uses the same stopping rule and cap on ||A_k||_F^2.
-RICCATI_DOUBLING_TOL = 1e-16
-RICCATI_DOUBLING_MAX_STEPS = 64
+# Smith doubling (Lyapunov) and SDA (Riccati) stop once ||A_k||_F^2 falls to
+# about machine epsilon; the cap bounds the loop for inputs whose powers decay
+# too slowly or overflow.
+DOUBLING_TOL = 1e-16
+DOUBLING_MAX_STEPS = 64
 
 
 def as_matrix(M, rows=None, cols=None, name="matrix"):
@@ -100,38 +98,34 @@ def _dlyap_transpose_doubling(Acl, W):
     # which rules out stopping on a small increment).
     X = W
     Ak = Acl
-    for _ in range(DLYAP_DOUBLING_MAX_STEPS):
+    for _ in range(DOUBLING_MAX_STEPS):
         X = X + Ak.T @ X @ Ak
         Ak = Ak @ Ak
         tail = float(np.sum(Ak * Ak))
-        if tail <= DLYAP_DOUBLING_TOL:
+        if tail <= DOUBLING_TOL:
             return 0.5 * (X + X.T)
     raise ConvergenceError(
         f"solve_dlyap_transpose: Smith doubling left ||Acl^(2^k)||_F^2 = {tail:.3e} "
-        f"after {DLYAP_DOUBLING_MAX_STEPS} doublings",
-        residual=tail, iterations=DLYAP_DOUBLING_MAX_STEPS)
+        f"after {DOUBLING_MAX_STEPS} doublings",
+        residual=tail, iterations=DOUBLING_MAX_STEPS)
 
 
-def _dlyap_transpose(Acl, W):
-    """X = Acl^T X Acl + W without input checks: the caller has already
-    established that Acl is stable and W exactly symmetric, of matching size.
-    Kronecker for d <= 8, Smith doubling above."""
+def solve_dlyap_transpose(Acl, W, checked=True):
+    """Solve X = Acl^T X Acl + W for stable Acl and symmetric W.
+
+    Kronecker for d <= 8, Smith doubling above. checked=False skips the input
+    checks, stability included, for a caller that has already established
+    them (policy.evaluate tests stability once for both of its solves).
+    """
+    if checked:
+        Acl = as_matrix(Acl, name="Acl")
+        W = symmetrize(W, name="W")
+        if Acl.shape[0] != W.shape[0]:
+            raise DimensionError(f"Acl {Acl.shape} vs W {W.shape}")
+        require_stable(Acl, context="solve_dlyap_transpose")
     if Acl.shape[0] <= DLYAP_DIRECT_MAX_DIM:
         return _dlyap_transpose_direct(Acl, W)
     return _dlyap_transpose_doubling(Acl, W)
-
-
-def solve_dlyap_transpose(Acl, W):
-    """Solve X = Acl^T X Acl + W for stable Acl and symmetric W.
-
-    Kronecker for d <= 8, Smith doubling above.
-    """
-    Acl = as_matrix(Acl, name="Acl")
-    W = symmetrize(W, name="W")
-    if Acl.shape[0] != W.shape[0]:
-        raise DimensionError(f"Acl {Acl.shape} vs W {W.shape}")
-    require_stable(Acl, context="solve_dlyap_transpose")
-    return _dlyap_transpose(Acl, W)
 
 
 def solve_dlyap(Acl, W):
@@ -139,7 +133,7 @@ def solve_dlyap(Acl, W):
     return solve_dlyap_transpose(as_matrix(Acl, name="Acl").T, W)
 
 
-def riccati_doubling(A, G, H):
+def riccati_doubling(A, G, H, tol=0.0):
     """Structure-preserving doubling (SDA; Chu, Fan and Lin 2005) for the
     discrete Riccati equation X = H + A^T X (I + G X)^{-1} A, G and H symmetric.
 
@@ -148,11 +142,16 @@ def riccati_doubling(A, G, H):
     H_k equals the fixed-point iterate after 2^k steps from X = 0, so the limit
     is the one value iteration reaches, and ||A_k|| decays like the spectral
     radius of the closed loop at that limit to the power 2^k. Stops once
-    ||A_k||_F^2 <= 1e-16. Returns (X, doublings). A singular W, a non-finite
-    iterate or the step cap raise ConvergenceError.
+    ||A_k||_F^2 <= 1e-16, or once the last increment of H times ||A_k||_F^2
+    before it is at most tol: the iterate's error contracts like
+    A_k^T e A_k, so that product estimates the distance left to X, which is
+    what lets a small X (a correction to a warm start) stop early. Returns
+    (X, doublings). A singular W, a non-finite iterate or the step cap raise
+    ConvergenceError.
     """
     eye = np.eye(A.shape[0])
-    for k in range(1, RICCATI_DOUBLING_MAX_STEPS + 1):
+    tail = float(np.sum(A * A))
+    for k in range(1, DOUBLING_MAX_STEPS + 1):
         try:
             # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
             Y = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
@@ -160,8 +159,10 @@ def riccati_doubling(A, G, H):
             raise ConvergenceError(f"riccati_doubling: I + G H is singular at doubling {k}",
                                    iterations=k) from e
         WA, WG = np.split(Y, 2, axis=1)
+        dH = A.T @ H @ WA
+        left = tail * np.linalg.norm(dH, "fro")  # ||A_k||_F^2 ||H_{k+1} - H_k||_F
         G = G + A @ WG @ A.T
-        H = H + A.T @ H @ WA
+        H = H + dH
         A = A @ WA
         G = 0.5 * (G + G.T)
         H = 0.5 * (H + H.T)
@@ -169,11 +170,11 @@ def riccati_doubling(A, G, H):
         if not (np.isfinite(tail) and np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
             raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",
                                    residual=tail, iterations=k)
-        if tail <= RICCATI_DOUBLING_TOL:
+        if tail <= DOUBLING_TOL or left <= tol:
             return H, k
     raise ConvergenceError(
-        f"riccati_doubling: ||A_k||_F^2 = {tail:.3e} after {RICCATI_DOUBLING_MAX_STEPS} "
-        "doublings", residual=tail, iterations=RICCATI_DOUBLING_MAX_STEPS)
+        f"riccati_doubling: ||A_k||_F^2 = {tail:.3e} after {DOUBLING_MAX_STEPS} "
+        "doublings", residual=tail, iterations=DOUBLING_MAX_STEPS)
 
 
 def svd(M):

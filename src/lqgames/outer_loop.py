@@ -190,14 +190,24 @@ def outer_step(game, L, inner_res, cfg, omega=None):
     return Lp, mapping
 
 
-def _solve_inner_warm(game, L, K_prev, cfg_inner):
-    """Inner solve at L. The gradient methods start from the previous K while
-    it still stabilizes, else from the Riccati best response; the Riccati
-    method solves cold."""
-    if cfg_inner.method != inner_loop.RICCATI and (
-            K_prev is None or not linalg.is_stable(game.A - game.B @ K_prev - game.C @ L)):
-        K_prev = inner_loop.solve_inner_riccati(game, L).K
-    return inner_loop.solve_inner(game, L, K_prev, cfg_inner)
+def _solve_inner_warm(game, L, prev, cfg_inner):
+    """Inner solve at L, warm-started from the inner result prev at the
+    previous L. The Riccati method starts from prev.P and solves cold when
+    that fails or misses the inner tolerance; the gradient methods start from
+    prev.K while it still stabilizes, else from the Riccati best response."""
+    if cfg_inner.method == inner_loop.RICCATI:
+        if prev is not None:
+            try:
+                res = inner_loop.solve_inner_riccati(game, L, P0=prev.P)
+                if res.final_grad_norm <= cfg_inner.tol:
+                    return res
+            except (ConvergenceError, DefinitenessError):
+                pass
+        return inner_loop.solve_inner(game, L, None, cfg_inner)
+    K0 = prev.K if prev is not None else None
+    if K0 is None or not linalg.is_stable(game.A - game.B @ K0 - game.C @ L):
+        K0 = inner_loop.solve_inner_riccati(game, L).K
+    return inner_loop.solve_inner(game, L, K0, cfg_inner)
 
 
 def solve_nested(game, L0, cfg, omega=None):
@@ -216,11 +226,10 @@ def solve_nested(game, L0, cfg, omega=None):
         "projection": cfg.projection,
         "mu": float(linalg.min_eigenvalue_sym(game.Sigma0)),
     })
-    K_prev = None
+    inner_res = None
     for t in range(cfg.max_iter + 1):
         try:
-            inner_res = _solve_inner_warm(game, L, K_prev, cfg.inner)
-            K_prev = inner_res.K
+            inner_res = _solve_inner_warm(game, L, inner_res, cfg.inner)
             ev = policy.evaluate(game, policy.PolicyPair(K=inner_res.K, L=L))
         except (ConvergenceError, DefinitenessError, UnstableError) as e:
             e.trace = trace  # partial progress travels with the failure
@@ -233,5 +242,5 @@ def solve_nested(game, L0, cfg, omega=None):
             trace.converged = True
             break
         L = Lp
-    pair = policy.PolicyPair(K=K_prev, L=L if trace.converged else trace.rows[-1].L)
+    pair = policy.PolicyPair(K=inner_res.K, L=L if trace.converged else trace.rows[-1].L)
     return pair, trace

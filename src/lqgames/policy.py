@@ -87,10 +87,10 @@ def evaluate(game, pi):
     pi.check_dims(game)
     Acl = closed_loop(game, pi)
     rho = linalg.require_stable(Acl, context="evaluate")
-    # Acl is stable and both weights exactly symmetric, so the unchecked kernel
-    # gives the same floats as solve_dlyap_transpose / solve_dlyap
-    P = linalg._dlyap_transpose(Acl, stage_weight(game, pi))
-    Sigma = linalg._dlyap_transpose(Acl.T, game.Sigma0)
+    # Acl is stable and both weights exactly symmetric, so the unchecked solves
+    # give the same floats as the checked ones
+    P = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi), checked=False)
+    Sigma = linalg.solve_dlyap_transpose(Acl.T, game.Sigma0, checked=False)
     cost = float(np.trace(P @ game.Sigma0))
     E = (game.Ru + game.B.T @ P @ game.B) @ pi.K - game.B.T @ P @ (game.A - game.C @ pi.L)
     F = (-game.Rv + game.C.T @ P @ game.C) @ pi.L - game.C.T @ P @ (game.A - game.B @ pi.K)

@@ -290,10 +290,19 @@ def test_criterion_11_sampled_loops_reduce_to_analytic_loops(g1, k1_at_zero):
                                      tol=1e-6, estimator=exact_inner)
         assert np.array_equal(K_mf, res.K)
 
-        # outer: same floats through the Riccati inner solves
+        # outer: same floats through the warm-started Riccati chain
+        hold = {"P": None}
+
         def exact_outer(L_):
-            r = lq.solve_inner_riccati(g1, L_)
-            assert r.final_grad_norm <= 1e-10
+            r = None
+            if hold["P"] is not None:
+                try:
+                    r = lq.solve_inner_riccati(g1, L_, P0=hold["P"])
+                except (lq.ConvergenceError, lq.DefinitenessError):
+                    r = None
+            if r is None or r.final_grad_norm > 1e-10:
+                r = lq.solve_inner_riccati(g1, L_)
+            hold["P"] = r.P
             ev = lq.evaluate(g1, lq.PolicyPair(r.K, L_))
             return lq.GradEstimate(grad=ev.gradL, Sigma=ev.Sigma, cost_mean=ev.cost,
                                    cost_std=0.0, m=0, rho_max=ev.rho)

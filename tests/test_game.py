@@ -110,6 +110,19 @@ def test_riccati_solvers_match_scipy_on_random_games(d):
     assert solved >= 7
 
 
+def test_inner_riccati_solves_indefinite_qt_when_a_stabilizing_solution_exists():
+    # Q - L'RvL has min eigenvalue about -20 at L = L*/2 on this draw; value
+    # iteration from Qt failed here with DefinitenessError, doubling reaches
+    # the stabilizing solution
+    game = random_game(np.random.default_rng([24, 1, 3]), 24, 1, 3)
+    L = 0.5 * lq.solve_gare(game).Lstar
+    assert lq.game.qtilde_min(game, L) < -10.0
+    res = lq.solve_inner_riccati(game, L)
+    P_ref = scipy.linalg.solve_discrete_are(
+        game.A - game.C @ L, game.B, game.Q - L.T @ game.Rv @ L, game.Ru)
+    assert _rel(res.P, P_ref) <= 1e-10
+
+
 def test_json_round_trip(tmp_path, g1):
     path = tmp_path / "game.json"
     g1.save(path)

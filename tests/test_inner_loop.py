@@ -37,9 +37,19 @@ def test_riccati_matches_scipy(g1):
         assert res.final_grad_norm <= 1e-9
 
 
+def test_riccati_warm_start_agrees(g1):
+    rng = np.random.default_rng(12)
+    L_a = random_interior_l(g1, rng)
+    L_b = L_a + 0.01
+    cold = lq.solve_inner_riccati(g1, L_b)
+    warm = lq.solve_inner_riccati(g1, L_b, P0=lq.solve_inner_riccati(g1, L_a).P)
+    assert warm.iterations < cold.iterations
+    assert np.linalg.norm(warm.K - cold.K, "fro") <= 1e-9
+
+
 def test_riccati_cold_solve_takes_few_doublings(g1, g2, nash1, nash2):
-    # every solve starts cold from Riccati doubling: ~10 doublings plus a
-    # polishing step, where value iteration took hundreds of steps
+    # a cold solve is ~10 doublings plus a polishing step, where value
+    # iteration took hundreds of steps
     for game, nash in ((g1, nash1), (g2, nash2)):
         assert nash.iterations <= 16
         for L in (np.zeros((1, 3)), 0.5 * nash.Lstar, nash.Lstar):

@@ -110,7 +110,7 @@ def test_dlyap_doubling_near_unit_radius():
 
 
 def test_dlyap_doubling_cap_raises(monkeypatch):
-    monkeypatch.setattr(lin, "DLYAP_DOUBLING_MAX_STEPS", 1)
+    monkeypatch.setattr(lin, "DOUBLING_MAX_STEPS", 1)
     rng = np.random.default_rng(12)
     with pytest.raises(ConvergenceError, match="solve_dlyap_transpose") as exc:
         lin.solve_dlyap_transpose(random_stable(rng, n=24), random_psd(rng, n=24))
@@ -135,7 +135,7 @@ def test_riccati_doubling_failures_are_typed(monkeypatch):
     # no control (G = 0) on an unstable A: A_k = A^(2^k) overflows
     with pytest.raises(ConvergenceError, match="non-finite"):
         lin.riccati_doubling(2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3))
-    monkeypatch.setattr(lin, "RICCATI_DOUBLING_MAX_STEPS", 1)
+    monkeypatch.setattr(lin, "DOUBLING_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError, match="after 1 doublings") as exc:
         lin.riccati_doubling(0.9 * np.eye(3), np.zeros((3, 3)), np.eye(3))
     assert exc.value.iterations == 1

@@ -143,12 +143,20 @@ def test_inner_natural_pg_wiring_matches_analytic_loop(g1, k1_at_zero):
 
 
 def _mirror_outer_estimator(game, inner_tol):
-    """Exact-gradient estimator that reproduces the nested solver's Riccati
-    inner solves, so the L-iterates can be compared bitwise."""
+    """Exact-gradient estimator that reproduces the nested solver's
+    warm-started Riccati chain, so the L-iterates can be compared bitwise."""
+    hold = {"P": None}
 
     def est(L):
-        res = lq.solve_inner_riccati(game, L)
-        assert res.final_grad_norm <= inner_tol
+        res = None
+        if hold["P"] is not None:
+            try:
+                res = lq.solve_inner_riccati(game, L, P0=hold["P"])
+            except (lq.ConvergenceError, lq.DefinitenessError):
+                res = None
+        if res is None or res.final_grad_norm > inner_tol:
+            res = lq.solve_inner_riccati(game, L)
+        hold["P"] = res.P
         ev = lq.evaluate(game, lq.PolicyPair(res.K, L))
         return lq.GradEstimate(grad=ev.gradL, Sigma=ev.Sigma, cost_mean=ev.cost,
                                cost_std=0.0, m=0, rho_max=ev.rho)

@@ -188,6 +188,18 @@ def test_nested_attaches_partial_trace_on_inner_failure(g1):
     assert hasattr(exc.value, "trace")
 
 
+def test_failed_riccati_warm_start_falls_back_to_a_cold_solve(g1):
+    # with P0 = -I/lambda_max(B Ru^-1 B') the polish loses Ru + B'PB > 0
+    L = np.zeros((1, 3))
+    G = g1.B @ np.linalg.solve(g1.Ru, g1.B.T)
+    P_bad = -np.eye(3) / np.linalg.eigvalsh(G)[-1]
+    with pytest.raises(lq.ConvergenceError):
+        lq.solve_inner_riccati(g1, L, P0=P_bad)
+    prev = lq.InnerResult(K=None, P=P_bad, iterations=0, final_grad_norm=0.0, trace=[])
+    res = outer_loop._solve_inner_warm(g1, L, prev, lq.InnerConfig(method=lq.RICCATI))
+    assert np.array_equal(res.P, lq.solve_inner_riccati(g1, L).P)
+
+
 def test_riccati_inner_meets_default_tol_on_large_draws():
     # on these d = 48 benchmark draws the doubling result alone left
     # ||gradK|| ~ 1.1e-10 > 1e-10; the fixed-point step after it is what passes
