@@ -15,6 +15,7 @@ solver is deterministic given its seed.
 
 import dataclasses
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -32,6 +33,19 @@ def _field_names(cls):
 
 
 _BASELINE_KEYS = _field_names(baselines.BaselineConfig) - {"family"} | {"K0", "L0"}
+# The model-free runners' own arguments and their defaults.
+_MODELFREE_ARGS = {
+    "modelfree-inner": {"steps": 20, "alpha": 0.05, "flavor": inner_loop.NATURAL_PG,
+                        "tol": None},
+    "modelfree-outer": {"T": 20, "eta": 0.05, "flavor": outer_loop.NG, "inner_steps": 10,
+                        "inner_alpha": 0.05, "inner_flavor": inner_loop.NATURAL_PG},
+}
+_STEP_COUNTS = ("steps", "T", "inner_steps")
+_FLAVORS = {
+    ("modelfree-inner", "flavor"): (inner_loop.PG, inner_loop.NATURAL_PG),
+    ("modelfree-outer", "flavor"): (outer_loop.NG, outer_loop.NATURAL_NG),
+    ("modelfree-outer", "inner_flavor"): (inner_loop.PG, inner_loop.NATURAL_PG),
+}
 # The keys each solver kind reads besides "solver" and "name": the fields of
 # its config dataclass plus the runner's own arguments. Any other key is
 # rejected before a solver runs.
@@ -39,10 +53,10 @@ SPEC_KEYS = {
     "nested": _field_names(outer_loop.OuterConfig) | {"L0"},
     "ag": _BASELINE_KEYS,
     "gda": _BASELINE_KEYS,
-    "modelfree-inner": _field_names(modelfree.EstimatorConfig)
-    | {"L", "K0", "steps", "alpha", "flavor", "tol"},
-    "modelfree-outer": _field_names(modelfree.EstimatorConfig)
-    | {"L0", "T", "eta", "flavor", "projection", "inner_steps", "inner_alpha", "inner_flavor"},
+    "modelfree-inner": _field_names(modelfree.EstimatorConfig) | {"L", "K0"}
+    | set(_MODELFREE_ARGS["modelfree-inner"]),
+    "modelfree-outer": _field_names(modelfree.EstimatorConfig) | {"L0", "projection"}
+    | set(_MODELFREE_ARGS["modelfree-outer"]),
 }
 SOLVER_KINDS = tuple(SPEC_KEYS)
 
@@ -93,6 +107,8 @@ class ExperimentConfig:
                 if not isinstance(inner, dict):
                     raise ConfigError(f"solver {name!r}: 'inner' must be an object")
                 _check_keys(inner, _field_names(inner_loop.InnerConfig), f"solver {name!r} inner")
+            if spec["solver"] in _MODELFREE_ARGS:
+                _modelfree_args(spec)
         return cfg
 
     @classmethod
@@ -111,6 +127,42 @@ def _check_keys(d, known, where):
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _modelfree_args(spec):
+    """The runner arguments of a model-free solver spec: the defaults in
+    _MODELFREE_ARGS, overridden by the spec's values once they are checked.
+    Step counts are integers >= 0, stepsizes and tol finite and positive,
+    flavors one of their kind's."""
+    kind = spec["solver"]
+    args = dict(_MODELFREE_ARGS[kind])
+    for key in sorted(args.keys() & spec.keys()):
+        value = spec[key]
+        if (kind, key) in _FLAVORS:
+            ok, want = value in _FLAVORS[kind, key], f"one of {_FLAVORS[kind, key]}"
+        elif key == "tol" and value is None:
+            ok = True
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            ok, want = False, "a number"
+        elif key in _STEP_COUNTS:
+            ok, want = float(value).is_integer() and value >= 0, "an integer >= 0"
+            value = int(value) if ok else value
+        else:
+            ok, want = math.isfinite(value) and value > 0, "finite and positive"
+            value = float(value)
+        if not ok:
+            raise ConfigError(f"solver {solver_name(spec)!r}: {key} must be {want}, "
+                              f"got {value!r}")
+        args[key] = value
+    return args
+
+
+def _has_tolerance(spec):
+    """Whether a solver runs to a tolerance: all but the model-free ones do,
+    and modelfree-inner does when it is given one."""
+    if spec["solver"] in _MODELFREE_ARGS:
+        return _modelfree_args(spec).get("tol") is not None
+    return True
 
 
 def _config(base, spec, **fixed):
@@ -199,19 +251,19 @@ def _run_modelfree_inner(game, spec, seed):
     K0 = _parse_gain(spec.get("K0"), game.m1, game.d, "K0")
     if K0 is None:
         K0 = inner_loop.solve_inner_riccati(game, L).K
-    steps = int(spec.get("steps", 20))
-    alpha = spec.get("alpha", 0.05)
-    flavor = spec.get("flavor", inner_loop.NATURAL_PG)
-    trace = OuterTrace(meta={"variant": f"modelfree-inner-{flavor}"})
+    args = _modelfree_args(spec)
+    trace = OuterTrace(meta={"variant": f"modelfree-inner-{args['flavor']}"})
     margin = game_mod.qtilde_min(game, L)
 
     def record(j, K, est):
         rho = linalg.spectral_radius(game.A - game.B @ K - game.C @ L)
         trace.append(trace_row(game, j, L, est.cost_mean, est.grad, rho, K=K, margin=margin))
 
-    modelfree.inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=flavor,
-                                 tol=spec.get("tol"), record=record)
-    trace.converged = True
+    modelfree.inner_ng_modelfree(game, L, K0, cfg, args["steps"], args["alpha"],
+                                 flavor=args["flavor"], tol=args["tol"], record=record)
+    # converged: stopped because the estimated gradient norm met the tol
+    trace.converged = (args["tol"] is not None and bool(trace.rows)
+                       and trace.rows[-1].grad_norm <= args["tol"])
     return trace
 
 
@@ -221,16 +273,9 @@ def _run_modelfree_outer(game, spec, omega, seed):
     if L0 is None:
         L0 = _zeros_L(game)
     use_omega = omega if spec.get("projection") == outer_loop.PROJECTION_WHITENED_SV_CLIP else None
-    _, trace = modelfree.outer_ng_modelfree(
-        game, L0, cfg,
-        T=int(spec.get("T", 20)),
-        eta=float(spec.get("eta", 0.05)),
-        flavor=spec.get("flavor", outer_loop.NG),
-        omega=use_omega,
-        inner_steps=int(spec.get("inner_steps", 10)),
-        inner_alpha=float(spec.get("inner_alpha", 0.05)),
-        inner_flavor=spec.get("inner_flavor", inner_loop.NATURAL_PG))
-    trace.converged = True
+    # no tolerance: the run takes its T steps and does not claim convergence
+    _, trace = modelfree.outer_ng_modelfree(game, L0, cfg, omega=use_omega,
+                                            **_modelfree_args(spec))
     return trace
 
 
@@ -285,6 +330,7 @@ def run_experiment(cfg, out_dir=None, seed=None):
     nu = float(np.linalg.eigvalsh(outer_loop.w_matrix(gm, nash.Pstar))[0])
 
     solvers = {}
+    failing = []
     for spec in cfg.solvers:
         name = solver_name(spec)
         try:
@@ -298,7 +344,9 @@ def run_experiment(cfg, out_dir=None, seed=None):
             solvers[name] = trace.summary(oracle_value=nash.value)
         except (LqGamesError, np.linalg.LinAlgError, ValueError) as e:
             solvers[name] = {"error": f"{type(e).__name__}: {e}", "converged": False}
-    failing = [name for name, summ in solvers.items() if not summ.get("converged")]
+        # failing: raised, or missed a tolerance it was given
+        if "error" in solvers[name] or (_has_tolerance(spec) and not solvers[name]["converged"]):
+            failing.append(name)
     aggregate = {
         "game": cfg.game,
         "zeta": float(omega.zeta),

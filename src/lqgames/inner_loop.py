@@ -76,12 +76,15 @@ class InnerResult:
     trace: list[TraceRow]
 
 
+# Both updates also take stacks (leading axes on K, grad and Sigma) and give
+# each gain in a stack the floats it would get alone.
+
 def pg_update(K, grad, alpha):
     return K - alpha * grad
 
 def natural_pg_update(K, grad, Sigma, alpha):
     # right-multiplication by Sigma^{-1} via a symmetric solve
-    return K - alpha * np.linalg.solve(Sigma, grad.T).T
+    return K - alpha * np.linalg.solve(Sigma, grad.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAULT_MAX_ITER,

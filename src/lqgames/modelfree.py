@@ -9,10 +9,30 @@ correlation estimate reuses the same rollouts. Rollout sums run over R terms
 starting at the initial state, matching the infinite-horizon quantities they
 truncate.
 
+One rollout kernel serves every estimate. It advances a stack of gain pairs
+(K_p, L_p), each with k trajectories and one perturbed minimizer gain per
+trajectory, through u = K x, x' = (A - C L) x - B u, with stage cost
+x'(Q - L'Rv L)x + u'Ru u. State and control are kept together as one
+(pairs, d + m1, k) array, so that the dynamics, the stage cost and the state
+correlation sum are batched matrix products. estimate_inner is the one-pair
+case; the lock-step inner solves and the outer estimate's own rollouts (one
+trajectory per pair) are the others.
+
 Randomness is counter-based: every draw comes from a Philox generator keyed
 by (seed, stream index), with one stream per logical draw block. Results are
 bit-reproducible for a fixed seed no matter how trajectories are scheduled,
 and per-trajectory values are row slices of one vectorized draw.
+
+The outer estimate runs in lock-step. Its stream order is that of the
+sequential schedule, in which the inner solve at perturbed maximizer gain i
+takes its inner step j's perturbations and initial states from streams
+s0 + 2 + 2 * inner_steps * i + 2 * j and the one after (s0 and s0 + 1 hold
+the outer draws). Sample 0 runs first and alone, because its response is
+the warm start of the other samples and of the next outer step. Samples
+1..m-1 then take their inner steps together, in blocks of at most
+LOCKSTEP_TRAJECTORIES live trajectories, each drawing from its own streams,
+so neither the schedule nor the block size changes a result. A failure
+raises the SampleError that the sequential schedule would raise first.
 
 Trace columns for the outer solver are diagnostics computed from the model
 (spectral radius, constraint margin); the algorithm itself touches only
@@ -32,6 +52,11 @@ _MASK64 = (1 << 64) - 1
 
 X0_GAUSSIAN = "gaussian"
 X0_CUBE = "cube"
+
+# Most inner trajectories the lock-step outer estimate keeps live at once, as
+# many as one estimate_inner call at m = 5e4; outer samples run in blocks of
+# max(1, LOCKSTEP_TRAJECTORIES // m).
+LOCKSTEP_TRAJECTORIES = 50_000
 
 
 @dataclass(frozen=True)
@@ -68,6 +93,46 @@ def _generator(seed, stream):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _sphere(gen, m, rows, cols, radius):
+    w = gen.standard_normal((m, rows * cols))
+    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    return (radius * w / norms).reshape(m, rows, cols)
+
+
+def _unstable_sample(rho, radius):
+    """The SampleError for the first perturbed gain in rho at or past the
+    stability margin, or None."""
+    bad = np.nonzero(rho >= 1.0 - linalg.STABILITY_MARGIN)[0]
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return SampleError(
+        f"perturbed gain {i} of {rho.shape[0]} is destabilizing "
+        f"(rho = {rho[i]:.6f}); shrink the smoothing radius r "
+        f"(currently {radius:g}) or move to a better-conditioned pair",
+        index=i)
+
+
+def _at_inner_step(j, e):
+    return SampleError(f"inner step {j}: {e}", index=e.index)
+
+
+def _inner_update(K, grad, Sigma, alpha, flavor):
+    if flavor == inner_loop.PG:
+        return inner_loop.pg_update(K, grad, alpha)
+    return inner_loop.natural_pg_update(K, grad, Sigma, alpha)
+
+
+def _check_inner_method(flavor, alpha):
+    if flavor == inner_loop.GAUSS_NEWTON:
+        raise ConfigError("the Gauss-Newton inner update cannot be estimated "
+                          "from rollouts; use PG or NaturalPG")
+    if flavor not in (inner_loop.PG, inner_loop.NATURAL_PG):
+        raise ConfigError(f"unknown model-free inner flavor {flavor!r}")
+    if alpha is None or alpha <= 0.0:
+        raise ValueError("alpha must be an explicit positive stepsize")
+
+
 def rollout_length_for(rho, decay=1e-10):
     """Smallest R with rho^R <= decay, for truncation-bias control."""
     if not 0.0 < rho < 1.0:
@@ -99,99 +164,170 @@ class RolloutEngine:
         self._stream += 1
         return gen
 
-    def draw_perturbations(self, m, rows, cols, radius):
-        """m independent Frobenius-sphere perturbations as an (m, rows, cols) stack."""
-        gen = self._next_gen()
-        w = gen.standard_normal((m, rows * cols))
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
-        return (radius * w / norms).reshape(m, rows, cols)
-
-    def draw_x0(self, m):
-        gen = self._next_gen()
+    def _x0(self, gen, m):
         if self.x0_dist == X0_CUBE:
             return gen.uniform(-1.0, 1.0, size=(m, self.game.d)) * self._half_width
         return gen.standard_normal((m, self.game.d)) @ self._chol.T
 
-    def _rollout(self, Acl, Wstage, x0, R):
-        """Batched R-step rollout. Returns per-sample cost sums and the pooled
-        state correlation sum (over samples and steps, divided by m)."""
-        m = x0.shape[0]
-        X = x0
-        cost = np.zeros(m)
-        S = np.zeros((self.game.d, self.game.d))
-        for t in range(R):
-            cost += np.einsum("mi,mij,mj->m", X, Wstage, X)
-            S += X.T @ X
-            if t + 1 < R:
-                X = np.einsum("mij,mj->mi", Acl, X)
-        return cost, S / m
+    def draw_perturbations(self, m, rows, cols, radius):
+        """m independent Frobenius-sphere perturbations as an (m, rows, cols) stack."""
+        return _sphere(self._next_gen(), m, rows, cols, radius)
 
-    def _check_samples_stable(self, Acl, radius):
-        lam = np.linalg.eigvals(Acl)
-        rho = np.abs(lam).max(axis=1)
-        bad = np.nonzero(rho >= 1.0 - linalg.STABILITY_MARGIN)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise SampleError(
-                f"perturbed gain {i} of {Acl.shape[0]} is destabilizing "
-                f"(rho = {rho[i]:.6f}); shrink the smoothing radius r "
-                f"(currently {radius:g}) or move to a better-conditioned pair",
-                index=i)
-        return float(rho.max())
+    def draw_x0(self, m):
+        return self._x0(self._next_gen(), m)
+
+    def _radii(self, K, L):
+        """(P, k) closed-loop spectral radii of the gains K (P, k, m1, d)
+        against L (P, m2, d), from one batched eigvals call."""
+        g = self.game
+        Acl = (g.A - g.C @ L)[:, None] - g.B @ K
+        return np.abs(np.linalg.eigvals(Acl)).max(axis=-1)
+
+    def _rollout(self, K, L, x0, R):
+        """Batched R-step rollouts of P gain pairs with k trajectories each.
+
+        K is (P, k, m1, d), one minimizer gain per trajectory; L is
+        (P, m2, d); x0 is (P, k, d). Returns the (P, k) cost sums and the
+        (P, d, d) state correlation sums over each pair's trajectories and
+        steps. Every pair is computed alone, so a result does not depend on
+        what else is in the stack.
+
+        The state and the control share one (P, d + m1, k) array z = [x; u],
+        so that x' = [A - C L, -B] z, the stage cost z' diag(Q - L'Rv L, Ru) z
+        and the correlation sum z z' each take one batched product.
+        """
+        g = self.game
+        d, m1 = g.d, g.m1
+        P, k = x0.shape[:2]
+        F = np.concatenate([g.A - g.C @ L, np.broadcast_to(-g.B, (P, d, m1))], axis=2)
+        W = np.zeros((P, d + m1, d + m1))
+        W[:, :d, :d] = g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L
+        W[:, d:, d:] = g.Ru
+        Kt = np.ascontiguousarray(np.moveaxis(K, 1, -1))  # (P, m1, d, k)
+        z, z_next = np.empty((P, d + m1, k)), np.empty((P, d + m1, k))
+        z[:, :d] = np.swapaxes(x0, 1, 2)
+        cost = np.zeros((P, k))
+        S = np.zeros((P, d + m1, d + m1))
+        for t in range(R):
+            np.einsum("paik,pik->pak", Kt, z[:, :d], out=z[:, d:])
+            cost += np.einsum("pik,pik->pk", z, W @ z)
+            S += z @ np.swapaxes(z, 1, 2)
+            if t + 1 < R:
+                np.matmul(F, z, out=z_next[:, :d])
+                z, z_next = z_next, z
+        return cost, S[:, :d, :d]
+
+    def _estimates(self, K, L, U, x0, R, r):
+        """One-point (gradK, Sigma) estimates at P stable pairs at once:
+        K (P, m1, d) perturbed by U (P, k, m1, d), L (P, m2, d), x0 (P, k, d).
+        Returns grad (P, m1, d), Sigma (P, d, d) and the (P, k) costs."""
+        g = self.game
+        k = U.shape[1]
+        cost, S = self._rollout(K[:, None] + U, L, x0, R)
+        dim = g.m1 * g.d
+        grad = (dim / (k * r * r)) * np.einsum("pk,pkij->pij", cost, U)
+        Sigma = S / k
+        return grad, 0.5 * (Sigma + np.swapaxes(Sigma, 1, 2)), cost
 
     def estimate_inner(self, K, L, m, R, r):
         """Zeroth-order (gradK, Sigma) estimate at (K, L) by perturbing K."""
         g = self.game
-        K = np.asarray(K, dtype=float)
-        L = np.asarray(L, dtype=float)
-        U = self.draw_perturbations(m, g.m1, g.d, r)
-        x0 = self.draw_x0(m)
-        Ks = K[None, :, :] + U
-        Acl = (g.A - g.C @ L)[None, :, :] - np.einsum("ij,mjk->mik", g.B, Ks)
-        rho_max = self._check_samples_stable(Acl, r)
-        base = g.Q - L.T @ g.Rv @ L
-        Wstage = base[None, :, :] + np.einsum("mai,ab,mbj->mij", Ks, g.Ru, Ks)
-        cost, Sigma = self._rollout(Acl, Wstage, x0, R)
-        dim = g.m1 * g.d
-        grad = (dim / (m * r * r)) * np.einsum("m,mij->ij", cost, U)
-        return GradEstimate(grad=grad, Sigma=0.5 * (Sigma + Sigma.T),
+        K = np.asarray(K, dtype=float)[None]
+        L = np.asarray(L, dtype=float)[None]
+        U = self.draw_perturbations(m, g.m1, g.d, r)[None]
+        x0 = self.draw_x0(m)[None]
+        rho = self._radii(K[:, None] + U, L)[0]
+        error = _unstable_sample(rho, r)
+        if error is not None:
+            raise error
+        grad, Sigma, cost = self._estimates(K, L, U, x0, R, r)
+        return GradEstimate(grad=grad[0], Sigma=Sigma[0],
                             cost_mean=float(cost.mean()), cost_std=float(cost.std()),
-                            m=m, rho_max=rho_max)
+                            m=m, rho_max=float(rho.max()))
 
-    def estimate_outer(self, L, inner_solve, m, R, r):
+    def estimate_outer(self, L, K_warm, m, R, r, inner_steps, inner_alpha, inner_flavor):
         """Zeroth-order (gradL, Sigma) estimate for the maximin objective.
 
-        Perturbs L on the sphere, obtains a (model-free) inner response for
-        each perturbed L via inner_solve(L_i, i), and reuses each response's
-        rollout for both the cost and the correlation estimate.
+        Perturbs L on the sphere and runs inner_steps model-free inner steps
+        (inner_flavor PG or NaturalPG, stepsize inner_alpha, m trajectories
+        per step) from K_warm at each perturbed L: sample 0 first, then the
+        rest in lock-step. Each response is rolled out once, for both the
+        cost and the correlation estimate. Returns the estimate and sample
+        0's response, the warm start for the next call.
         """
+        _check_inner_method(inner_flavor, inner_alpha)
         g = self.game
         L = np.asarray(L, dtype=float)
+        first = self._stream
         V = self.draw_perturbations(m, g.m2, g.d, r)
         x0 = self.draw_x0(m)
-        costs = np.zeros(m)
-        Sigma = np.zeros((g.d, g.d))
-        rho_max = 0.0
-        for i in range(m):
-            Li = L + V[i]
-            Ki = inner_solve(Li, i)
-            Acl = g.A - g.B @ Ki - g.C @ Li
-            rho = linalg.spectral_radius(Acl)
-            if rho >= 1.0 - linalg.STABILITY_MARGIN:
-                raise SampleError(
-                    f"perturbed maximizer gain {i} of {m} yields an unstable "
-                    f"inner response (rho = {rho:.6f}); shrink r (currently {r:g})",
-                    index=i)
-            rho_max = max(rho_max, rho)
-            Wstage = g.Q + Ki.T @ g.Ru @ Ki - Li.T @ g.Rv @ Li
-            c, S = self._rollout(Acl[None, :, :], Wstage[None, :, :], x0[i:i + 1], R)
-            costs[i] = c[0]
-            Sigma += S
+        self._stream = first + 2 + 2 * inner_steps * m
+        Ls = L + V
+        Ks = np.empty((m, g.m1, g.d))
+        block = max(1, LOCKSTEP_TRAJECTORIES // m)
+        # sample 0 alone first: its response is the warm start of the rest
+        bounds = [(0, 1)] + [(i, min(i + block, m)) for i in range(1, m, block)]
+        error = None
+        for i0, i1 in bounds:
+            streams = first + 2 + 2 * inner_steps * np.arange(i0, i1)
+            Ks[i0:i1], error = self._inner_solves(K_warm if i0 == 0 else Ks[0], Ls[i0:i1],
+                                                  streams, m, R, r, inner_steps,
+                                                  inner_alpha, inner_flavor)
+            if error is not None:
+                error = (i0 + error[0], error[1])
+                break
+        # the sequential schedule screens each response right after its inner
+        # solve, so a screen failure before the first inner failure wins
+        n = m if error is None else error[0]
+        rho = self._radii(Ks[:n, None], Ls[:n])[:, 0]
+        bad = np.nonzero(rho >= 1.0 - linalg.STABILITY_MARGIN)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise SampleError(
+                f"perturbed maximizer gain {i} of {m} yields an unstable "
+                f"inner response (rho = {rho[i]:.6f}); shrink r (currently {r:g})",
+                index=i)
+        if error is not None:
+            raise error[1]
+        costs, S = self._rollout(Ks[:, None], Ls, x0[:, None], R)
+        costs = costs[:, 0]
         dim = g.m2 * g.d
         grad = (dim / (m * r * r)) * np.einsum("m,mij->ij", costs, V)
-        return GradEstimate(grad=grad, Sigma=0.5 * (Sigma + Sigma.T) / m,
-                            cost_mean=float(costs.mean()), cost_std=float(costs.std()),
-                            m=m, rho_max=rho_max)
+        Sigma = S.sum(axis=0)
+        est = GradEstimate(grad=grad, Sigma=0.5 * (Sigma + Sigma.T) / m,
+                           cost_mean=float(costs.mean()), cost_std=float(costs.std()),
+                           m=m, rho_max=float(rho.max()))
+        return est, Ks[0].copy()
+
+    def _inner_solves(self, K_warm, Ls, streams, k, R, r, steps, alpha, flavor):
+        """Model-free inner solves at the maximizer gains Ls (n, m2, d), all
+        from K_warm and advanced together, k trajectories per estimate; solve
+        i's step j draws from streams[i] + 2 j and the stream after it.
+
+        Returns the (n, m1, d) responses and None, or the index of the first
+        solve that failed and its SampleError; the solves after it are
+        dropped when it fails, and their responses are meaningless.
+        """
+        g = self.game
+        n = Ls.shape[0]
+        K = np.broadcast_to(K_warm, (n, g.m1, g.d)).copy()
+        error = None
+        for j in range(steps):
+            U = np.stack([_sphere(_generator(self.seed, s + 2 * j), k, g.m1, g.d, r)
+                          for s in streams[:n]])
+            rho = self._radii(K[:n, None] + U, Ls[:n])
+            failed = np.nonzero((rho >= 1.0 - linalg.STABILITY_MARGIN).any(axis=1))[0]
+            if failed.size:
+                n = int(failed[0])
+                error = (n, _at_inner_step(j, _unstable_sample(rho[n], r)))
+                if n == 0:
+                    break
+                U = U[:n]
+            x0 = np.stack([self._x0(_generator(self.seed, s + 2 * j + 1), k)
+                           for s in streams[:n]])
+            grad, Sigma, _ = self._estimates(K[:n], Ls[:n], U, x0, R, r)
+            K[:n] = _inner_update(K[:n], grad, Sigma, alpha, flavor)
+        return K, error
 
 
 def estimate_grad_sigma(game, K, L, cfg):
@@ -214,13 +350,7 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     called with each visited iterate and its GradEstimate, for
     instrumentation.
     """
-    if flavor == inner_loop.GAUSS_NEWTON:
-        raise ConfigError("the Gauss-Newton inner update cannot be estimated "
-                          "from rollouts; use PG or NaturalPG")
-    if flavor not in (inner_loop.PG, inner_loop.NATURAL_PG):
-        raise ConfigError(f"unknown model-free inner flavor {flavor!r}")
-    if alpha is None or alpha <= 0.0:
-        raise ValueError("alpha must be an explicit positive stepsize")
+    _check_inner_method(flavor, alpha)
     if estimator is None:
         engine = RolloutEngine(game, cfg.seed, cfg.x0_dist)
         estimator = lambda K_, L_: engine.estimate_inner(K_, L_, cfg.m, cfg.R, cfg.r)
@@ -230,15 +360,12 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
         try:
             est = estimator(K, L)
         except SampleError as e:
-            raise SampleError(f"inner step {j}: {e}", index=e.index) from e
+            raise _at_inner_step(j, e) from e
         if record is not None:
             record(j, K, est)
         if tol is not None and np.linalg.norm(est.grad, "fro") <= tol:
             break
-        if flavor == inner_loop.PG:
-            K = inner_loop.pg_update(K, est.grad, alpha)
-        else:
-            K = inner_loop.natural_pg_update(K, est.grad, est.Sigma, alpha)
+        K = _inner_update(K, est.grad, est.Sigma, alpha, flavor)
     return K
 
 
@@ -248,11 +375,12 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
                        estimator=None):
     """Model-free projected nested-gradient outer loop.
 
-    Per outer step, the default estimator perturbs L on the sphere, runs the
-    model-free inner solver at every perturbed L (warm-started from the
-    previous response), and averages rollout costs into a nested-gradient
-    estimate. flavor NG steps along grad_hat, NaturalNG along
-    grad_hat Sigma_hat^{-1}; omega, when given, projects the update.
+    Per outer step, the default estimator (RolloutEngine.estimate_outer)
+    perturbs L on the sphere, runs the model-free inner solver at every
+    perturbed L (warm-started from the previous step's response at sample
+    0), and averages rollout costs into a nested-gradient estimate. flavor
+    NG steps along grad_hat, NaturalNG along grad_hat Sigma_hat^{-1}; omega,
+    when given, projects the update.
 
     estimator(L) -> GradEstimate may replace the whole sampling block (used
     for analytic wiring checks).
@@ -262,24 +390,16 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     if eta is None or eta <= 0.0:
         raise ValueError("eta must be an explicit positive stepsize")
     L = np.array(L0, dtype=float)
-    engine = None
     if estimator is None:
         engine = RolloutEngine(game, cfg.seed, cfg.x0_dist)
         if K0 is None:
             K0 = inner_loop.solve_inner_riccati(game, L).K
-        warm = {"K": np.asarray(K0, dtype=float)}
+        warm = [K0]
 
         def estimator(L_):
-            def inner_solve(Li, i):
-                Ki = inner_ng_modelfree(
-                    game, Li, warm["K"], cfg, inner_steps, inner_alpha,
-                    flavor=inner_flavor,
-                    estimator=lambda K_, L__: engine.estimate_inner(
-                        K_, L__, cfg.m, cfg.R, cfg.r))
-                if i == 0:
-                    warm["K"] = Ki
-                return Ki
-            return engine.estimate_outer(L_, inner_solve, cfg.m, cfg.R, cfg.r)
+            est, warm[0] = engine.estimate_outer(L_, warm[0], cfg.m, cfg.R, cfg.r,
+                                                 inner_steps, inner_alpha, inner_flavor)
+            return est
 
     trace = OuterTrace(meta={"variant": f"modelfree-{flavor}",
                              "mu": float(linalg.min_eigenvalue_sym(game.Sigma0))})

@@ -54,6 +54,52 @@ def test_config_rejects_unknown_projection(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_rejects_bad_modelfree_arguments(tmp_path, capsys):
+    # one case per key of the model-free runners; each is a ConfigError
+    # before any solver runs
+    bad = [("modelfree-inner", "steps", 2.5), ("modelfree-inner", "steps", True),
+           ("modelfree-outer", "T", 1.7), ("modelfree-outer", "inner_steps", -1),
+           ("modelfree-inner", "alpha", -0.1), ("modelfree-outer", "eta", float("nan")),
+           ("modelfree-outer", "inner_alpha", float("inf")), ("modelfree-inner", "tol", "1e-6"),
+           ("modelfree-inner", "flavor", "GaussNewton"), ("modelfree-outer", "flavor", "PG"),
+           ("modelfree-outer", "inner_flavor", "NaturalNG")]
+    for kind, key, value in bad:
+        spec = {"solver": kind, key: value}
+        with pytest.raises(lq.ConfigError, match=key):
+            experiments.ExperimentConfig.from_dict({"game": "case1", "solvers": [spec]})
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "game": "case1", "solvers": [NESTED_GN, {"solver": "modelfree-inner", "alpha": -0.1}]})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+    # whole-number floats are step counts; the defaults fill the rest
+    args = experiments._modelfree_args({"solver": "modelfree-outer", "T": 3.0, "eta": 1})
+    assert args["T"] == 3 and type(args["T"]) is int and type(args["eta"]) is float
+    assert args["inner_steps"] == 10 and args["inner_flavor"] == lq.NATURAL_PG
+
+
+def test_modelfree_runs_report_convergence_truthfully(tmp_path):
+    # modelfree-inner converges only on a tol it was given and met;
+    # modelfree-outer has no tol, so it never claims convergence and fails
+    # only by raising
+    inner = {"solver": "modelfree-inner", "m": 64, "R": 30, "r": 0.05, "steps": 3,
+             "alpha": 0.01, "flavor": "PG"}
+    cfg = experiments.ExperimentConfig.from_dict({"game": "case2", "solvers": [
+        dict(inner, name="no-tol"),
+        dict(inner, name="tiny-tol", tol=1e-30),
+        dict(inner, name="huge-tol", tol=1e30),
+        {"solver": "modelfree-outer", "m": 8, "R": 20, "r": 0.02, "T": 1, "eta": 1e-4,
+         "inner_steps": 1, "inner_alpha": 1e-3, "inner_flavor": "PG"}]})
+    summary = experiments.run_experiment(cfg, out_dir=str(tmp_path))
+    s = summary["solvers"]
+    assert "error" not in s["modelfree-outer"]
+    assert [s[n]["converged"] for n in ("no-tol", "tiny-tol", "huge-tol")] == [False, False, True]
+    assert s["huge-tol"]["iters"] == 0 and s["tiny-tol"]["iters"] == 2
+    assert not s["modelfree-outer"]["converged"]
+    assert summary["failing"] == ["tiny-tol"]
+
+
 def test_config_rejects_bad_solver_lists():
     with pytest.raises(lq.ConfigError):
         experiments.ExperimentConfig.from_dict({"game": "case1", "solvers": []})

@@ -242,3 +242,119 @@ def test_outer_modelfree_smoke_and_determinism(g1, nash1, k1_at_zero):
     omega = lq.OmegaSet.for_game(g1, nash=nash1)
     L_p, tr_p = lq.outer_ng_modelfree(g1, L0, cfg, flavor=lq.NG, omega=omega, **kw)
     assert omega.margin(L_p, g1) >= -1e-9
+
+
+# -- lock-step outer estimate against the sequential schedule -----------------
+
+def _sequential_outer(engine, L, K_warm, m, R, r, steps, alpha, flavor):
+    """The outer estimate in the sequential schedule, from public pieces: one
+    inner solve after another, each a chain of estimate_inner calls, sample
+    0's response the warm start of the rest; each response screened and then
+    rolled out once from its own initial state."""
+    g = engine.game
+    V = engine.draw_perturbations(m, g.m2, g.d, r)
+    x0 = engine.draw_x0(m)
+    costs, Sigma, rho_max, warm = np.zeros(m), np.zeros((g.d, g.d)), 0.0, K_warm
+    for i in range(m):
+        Li, K = L + V[i], warm
+        for j in range(steps):
+            try:
+                est = engine.estimate_inner(K, Li, m, R, r)
+            except lq.SampleError as e:
+                err = lq.SampleError(f"inner step {j}: {e}", index=e.index)
+                err.sample = i  # the outer sample, for coverage checks
+                raise err from e
+            if flavor == lq.PG:
+                K = lq.inner_loop.pg_update(K, est.grad, alpha)
+            else:
+                K = lq.inner_loop.natural_pg_update(K, est.grad, est.Sigma, alpha)
+        if i == 0:
+            warm = K
+        Acl = g.A - g.B @ K - g.C @ Li
+        rho = lq.linalg.spectral_radius(Acl)
+        if rho >= 1.0 - lq.linalg.STABILITY_MARGIN:
+            err = lq.SampleError(
+                f"perturbed maximizer gain {i} of {m} yields an unstable inner "
+                f"response (rho = {rho:.6f}); shrink r (currently {r:g})", index=i)
+            err.sample = i
+            raise err
+        rho_max = max(rho_max, rho)
+        W = g.Q + K.T @ g.Ru @ K - Li.T @ g.Rv @ Li
+        X = x0[i]
+        for _ in range(R):
+            costs[i] += X @ W @ X
+            Sigma += np.outer(X, X)
+            X = Acl @ X
+    grad = (g.m2 * g.d / (m * r * r)) * np.einsum("m,mij->ij", costs, V)
+    est = lq.GradEstimate(grad=grad, Sigma=0.5 * (Sigma + Sigma.T) / m,
+                          cost_mean=float(costs.mean()), cost_std=float(costs.std()),
+                          m=m, rho_max=rho_max)
+    return est, warm
+
+
+def _rel(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("flavor,alpha", [(lq.PG, 1e-3), (lq.NATURAL_PG, 1e-4)])
+def test_lockstep_outer_estimate_matches_sequential_schedule(g1, k1_at_zero, flavor, alpha):
+    # two outer estimates in a row (a T = 1 run): the second starts from the
+    # first one's warm response and from where the first left the streams
+    m, R, r, steps = 30, 60, 0.02, 3
+    lock, seq = mf.RolloutEngine(g1, 21), mf.RolloutEngine(g1, 21)
+    L = np.zeros((1, 3))
+    warm_lock = warm_seq = k1_at_zero
+    for _ in range(2):
+        est, warm_lock = lock.estimate_outer(L, warm_lock, m, R, r, steps, alpha, flavor)
+        ref, warm_seq = _sequential_outer(seq, L, warm_seq, m, R, r, steps, alpha, flavor)
+        assert lock._stream == seq._stream
+        for a, b in ((est.grad, ref.grad), (est.Sigma, ref.Sigma),
+                     (est.cost_mean, ref.cost_mean), (est.rho_max, ref.rho_max),
+                     (warm_lock, warm_seq)):
+            assert _rel(a, b) <= 1e-12
+        assert est.m == m
+        L = L + 1e-3 * est.grad
+
+
+def _sample_error(fn, *args):
+    try:
+        fn(*args)
+    except lq.SampleError as e:
+        return e
+    return None
+
+
+def test_lockstep_raises_the_sequential_schedules_first_sample_error(g1, k1_at_zero):
+    # a large radius destabilizes perturbed gains at several outer samples
+    # and inner steps; the lock-step must report the failure the sequential
+    # schedule meets first, inner-step failures and response screens alike
+    seen = set()
+    for flavor, alpha, m, r, steps in ((lq.PG, 0.01, 4, 0.8, 2),
+                                       (lq.NATURAL_PG, 0.05, 8, 0.6, 1)):
+        for seed in range(12):
+            args = (np.zeros((1, 3)), k1_at_zero, m, 20, r, steps, alpha, flavor)
+            want = _sample_error(_sequential_outer, mf.RolloutEngine(g1, seed), *args)
+            got = _sample_error(mf.RolloutEngine.estimate_outer,
+                                mf.RolloutEngine(g1, seed), *args)
+            assert str(got) == str(want)
+            if want is not None:
+                assert got.index == want.index
+                if str(want).startswith("inner step"):
+                    seen.add(("inner", want.sample > 0, not str(want).startswith("inner step 0:")))
+                else:
+                    seen.add(("screen", want.sample > 0))
+    # failures past sample 0 (the lock-step part), at inner steps after the
+    # first, and in the response screen all occur
+    assert {("inner", True, True), ("screen", True)} <= seen
+
+
+def test_lockstep_results_do_not_depend_on_the_block_size(g1, k1_at_zero, monkeypatch):
+    cfg = lq.EstimatorConfig(m=12, R=40, r=0.02, seed=4)
+    kw = dict(T=1, eta=1e-3, inner_steps=2, inner_alpha=1e-3, inner_flavor=lq.PG,
+              K0=k1_at_zero)
+    L_a, tr_a = lq.outer_ng_modelfree(g1, np.zeros((1, 3)), cfg, **kw)
+    monkeypatch.setattr(mf, "LOCKSTEP_TRAJECTORIES", 1)
+    L_b, tr_b = lq.outer_ng_modelfree(g1, np.zeros((1, 3)), cfg, **kw)
+    assert np.array_equal(L_a, L_b)
+    assert tr_a.to_csv() == tr_b.to_csv()
