@@ -15,7 +15,9 @@ value matrix P* solves the generalized Riccati equation
             [C^T P B,      -Rv + C^T P C]],
 
 and the equilibrium gains K*, L* are the two block components of the
-M(P*)^{-1} solve above.
+M(P*)^{-1} solve above. solve_gare finds P* as the stabilizing solution of
+the discrete Riccati equation with input [B C] and weight diag(Ru, -Rv), by
+linalg.solve_dare: doubling, then Newton steps.
 """
 
 import json
@@ -27,7 +29,6 @@ from . import linalg
 from .errors import ConvergenceError, DefinitenessError, DimensionError, UnstableError
 
 GARE_DEFAULT_TOL = 1e-10
-GARE_DEFAULT_MAX_ITER = 100_000
 
 # sigma_min below this (relative to scale) counts as singular in block solves
 SINGULAR_TOL = 1e-12
@@ -187,47 +188,31 @@ def _gare_map(game, P):
     return 0.5 * (Pn + Pn.T), K, L
 
 
-def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=GARE_DEFAULT_MAX_ITER):
-    """Nash value matrix by Riccati doubling, then fixed-point steps of the
-    game Riccati map.
+def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
+    """Nash value matrix by Riccati doubling, then Newton steps.
 
-    The game equation is X = Q + A^T X (I + G X)^{-1} A with the indefinite
-    G = B Ru^{-1} B^T - C Rv^{-1} C^T, which linalg.riccati_doubling solves in
-    about ten doublings. The map steps that follow stop once a step is at
-    most tol/4 and, from the second step on, the step scaled by the estimated
-    contraction factor c/(1 - c) also bounds the distance to the fixed point
-    below tol/4. The first step normally stops the loop, so the accuracy rests
-    on the doubling's stopping rule and that one step; the returned residual
-    is the Frobenius norm of P - map(P) and is <= tol. iterations counts
-    doublings plus map steps; max_iter caps the map steps.
+    The game equation is the discrete Riccati equation with the stacked input
+    [B C] and the indefinite weight diag(Ru, -Rv), which linalg.solve_dare
+    solves: about ten doublings, then Newton steps until one is at most
+    max(tol, sqrt(eps) ||P||_F), normally one or two. max_iter caps the
+    Newton steps; iterations counts doublings plus Newton steps. The returned
+    residual is the Frobenius norm of P - map(P) for the game Riccati map,
+    which must be at most tol or, when larger, the roundoff level
+    64 eps ||A||_F^2 ||P||_F of that map.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    A, B, C = game.A, game.B, game.C
-    G = B @ np.linalg.solve(game.Ru, B.T) - C @ np.linalg.solve(game.Rv, C.T)
-    P, doublings = linalg.riccati_doubling(A, 0.5 * (G + G.T), game.Q)
-    step_prev = np.inf
-    for k in range(max_iter):
-        Pn, K, L = _gare_map(game, P)
-        step = np.linalg.norm(Pn - P, "fro")
-        P = Pn
-        contraction = min(step / step_prev if step_prev > 0 else 0.0, 0.999)
-        step_prev = step
-        # distance to fixed point <= step * c/(1-c) for contraction factor c
-        if step * contraction / (1.0 - contraction) <= 0.25 * tol and step <= 0.25 * tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"GARE fixed-point steps did not reach tol={tol:g} in {max_iter} iterations "
-            f"after {doublings} doublings",
-            residual=step_prev, iterations=doublings + max_iter)
-    iterations = doublings + k + 1
-
+    R = np.block([[game.Ru, np.zeros((game.m1, game.m2))],
+                  [np.zeros((game.m2, game.m1)), -game.Rv]])
+    P, iterations = linalg.solve_dare(game.A, np.hstack([game.B, game.C]), game.Q, R, tol,
+                                      max_steps=max_iter)
     Pcheck, K, L = _gare_map(game, P)
     residual = float(np.linalg.norm(Pcheck - P, "fro"))
-    if residual > tol:
+    bound = max(tol, 64.0 * np.finfo(float).eps * np.linalg.norm(game.A, "fro") ** 2
+                * np.linalg.norm(P, "fro"))
+    if residual > bound:
         raise ConvergenceError(
-            f"GARE residual {residual:.3e} above tol after convergence test",
+            f"GARE residual {residual:.3e} above {bound:.3e} after convergence test",
             residual=residual, iterations=iterations)
     Acl = game.A - game.B @ K - game.C @ L
     rho = linalg.spectral_radius(Acl)

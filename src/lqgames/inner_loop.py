@@ -1,7 +1,8 @@
 """Inner-loop solvers: the minimizer's best response K(L) to a fixed L.
 
-Two routes with one result type: a Riccati solve (doubling, then fixed-point
-steps) of
+Two routes with one result type: a Riccati solve (linalg.solve_dare:
+doubling or a warm start, then Newton steps, each of which is the
+GaussNewton step below at alpha = 1/2 with P evaluated exactly) of
 
     P = Qt_L + At_L^T P At_L - At_L^T P B (Ru + B^T P B)^{-1} B^T P At_L,
     Qt_L = Q - L^T Rv L,   At_L = A - C L,   K(L) = (Ru + B^T P B)^{-1} B^T P At_L,
@@ -26,7 +27,6 @@ from .game import qtilde_min
 from .trace import TraceRow, trace_row
 
 RICCATI_DEFAULT_TOL = 1e-12
-RICCATI_DEFAULT_MAX_ITER = 100_000
 
 PG = "PG"
 NATURAL_PG = "NaturalPG"
@@ -67,13 +67,15 @@ class InnerConfig:
 
 @dataclass
 class InnerResult:
-    """trace rows record ||gradK|| as grad_norm, one row per visited K."""
+    """trace rows record ||gradK|| as grad_norm, one row per visited K; ev is
+    the exact evaluation at (K, L)."""
 
     K: np.ndarray
     P: np.ndarray
     iterations: int
     final_grad_norm: float
     trace: list[TraceRow]
+    ev: policy.PolicyEval | None = None
 
 
 # Both updates also take stacks (leading axes on K, grad and Sigma) and give
@@ -87,75 +89,37 @@ def natural_pg_update(K, grad, Sigma, alpha):
     return K - alpha * np.linalg.solve(Sigma, grad.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=RICCATI_DEFAULT_MAX_ITER,
+def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS,
                         P0=None):
-    """Best response K(L) from the inner Riccati equation.
-
-    linalg.riccati_doubling solves X = Qt_L + At_L^T X (I + G X)^{-1} At_L,
-    G = B Ru^{-1} B^T, in a few doublings; fixed-point steps of the map above
-    then run until a step is at most tol, normally one. iterations counts
-    doublings plus steps; max_iter caps the steps.
-
-    A warm start P0 (say, the solution at a nearby L) doubles on the
-    correction D = X - P0 instead, which solves the same kind of equation
-    with the closed loop (I + G P0)^{-1} At_L, the weight (I + G P0)^{-1} G
-    and the residual of P0 as its H. D is small, so the doubling stops once
-    its estimated distance to D is below tol, in fewer doublings than a cold
-    solve.
+    """Best response K(L) from the inner Riccati equation, by linalg.solve_dare
+    on (At_L, B, Qt_L, Ru): a few doublings from zero, or the warm start P0
+    (say, the solution at a nearby L), then Newton steps until one is at most
+    max(tol, sqrt(eps) ||P||_F). iterations counts doublings plus Newton
+    steps; max_iter caps the Newton steps. The result carries the exact
+    evaluation at (K(L), L) as ev.
 
     Qt_L > 0 guarantees solvability; slightly indefinite Qt_L is attempted
     anyway (the equation still has a stabilizing solution near such points
     in practice) and only reported as the likely cause when the solve fails.
+    A warm start on a non-stabilizing root of the equation stays there and
+    fails with UnstableError.
     """
     L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
     Qt = game.Q - L.T @ game.Rv @ L
     Qt = 0.5 * (Qt + Qt.T)
     At = game.A - game.C @ L
     B, Ru = game.B, game.Ru
-
-    BRB = B @ np.linalg.solve(Ru, B.T)
-    G = 0.5 * (BRB + BRB.T)
+    if P0 is not None:
+        P0 = linalg.symmetrize(P0, name="P0")
     try:
-        if P0 is None:
-            P, doublings = linalg.riccati_doubling(At, G, Qt, tol)
-        else:
-            P0 = linalg.symmetrize(P0, name="P0")
-            try:
-                Y = np.linalg.solve(np.eye(game.d) + G @ P0, np.hstack([At, G]))
-            except np.linalg.LinAlgError as e:
-                raise ConvergenceError("I + G P0 is singular", iterations=0) from e
-            A0, G0 = np.split(Y, 2, axis=1)
-            R = Qt + At.T @ P0 @ A0 - P0
-            D, doublings = linalg.riccati_doubling(A0, 0.5 * (G0 + G0.T), 0.5 * (R + R.T), tol)
-            P = P0 + D
+        P, iterations = linalg.solve_dare(At, B, Qt, Ru, tol, X0=P0, max_steps=max_iter)
     except ConvergenceError as e:
         _raise_inner_domain(game, L, e.iterations, e.residual, str(e))
-    step = np.inf
-    for k in range(max_iter):
-        G = Ru + B.T @ P @ B
-        # built here from symmetric Ru and P, so no re-validation
-        if np.linalg.eigvalsh(G)[0] <= 0.0:
-            _raise_inner_domain(game, L, doublings + k, np.nan,
-                                "Ru + B^T P B lost definiteness during iteration")
-        Kn = np.linalg.solve(G, B.T @ P @ At)
-        Pn = Qt + At.T @ P @ At - At.T @ P @ B @ Kn
-        Pn = 0.5 * (Pn + Pn.T)
-        step = np.linalg.norm(Pn - P, "fro")
-        P = Pn
-        if step <= tol:
-            break
-        if not np.isfinite(step):
-            _raise_inner_domain(game, L, doublings + k, step, "iteration diverged")
-    else:
-        _raise_inner_domain(game, L, doublings + max_iter, step, "iteration cap reached")
-
     K = np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ At)
-    rho = linalg.require_stable(game.A - game.B @ K - game.C @ L,
-                                context="inner Riccati solution")
-    row = trace_row(game, 0, L, float(np.trace(P @ game.Sigma0)),
-                    policy.evaluate(game, policy.PolicyPair(K=K, L=L)).gradK, rho, K=K)
-    return InnerResult(K=K, P=P, iterations=doublings + k + 1, final_grad_norm=row.grad_norm,
-                       trace=[row])
+    ev = policy.evaluate(game, policy.PolicyPair(K=K, L=L))  # raises UnstableError if unstable
+    row = trace_row(game, 0, L, float(np.trace(P @ game.Sigma0)), ev.gradK, ev.rho, K=K)
+    return InnerResult(K=K, P=P, iterations=iterations, final_grad_norm=row.grad_norm,
+                       trace=[row], ev=ev)
 
 
 def _raise_inner_domain(game, L, iteration, residual, reason):
@@ -224,7 +188,7 @@ def solve_inner(game, L, K0, cfg):
         grad_norm = trace[-1].grad_norm
         if grad_norm <= cfg.tol:
             return InnerResult(K=K, P=ev.P, iterations=t,
-                               final_grad_norm=grad_norm, trace=trace)
+                               final_grad_norm=grad_norm, trace=trace, ev=ev)
         K = _step_from_eval(game, K, ev, cfg)
     raise ConvergenceError(
         f"inner loop did not reach tol={cfg.tol:g} within {cfg.max_iter} iterations "

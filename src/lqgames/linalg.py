@@ -3,6 +3,10 @@
 All routines operate on float64 numpy arrays. Symmetric outputs are
 explicitly symmetrized; asymmetric inputs beyond tolerance are rejected
 rather than silently averaged.
+
+Both Riccati solvers (the game oracle and the inner best response) call one
+routine, solve_dare: structure-preserving doubling from zero or a warm start,
+then Newton steps, each a Lyapunov solve.
 """
 
 import numpy as np
@@ -21,6 +25,9 @@ DLYAP_DIRECT_MAX_DIM = 8
 # too slowly or overflow.
 DOUBLING_TOL = 1e-16
 DOUBLING_MAX_STEPS = 64
+# Newton steps after the doubling or warm start converge quadratically; a
+# solve that needs more than this many is not converging.
+DARE_MAX_STEPS = 100
 
 
 def as_matrix(M, rows=None, cols=None, name="matrix"):
@@ -84,9 +91,11 @@ def require_stable(Acl, context="closed loop", iteration=None):
 
 
 def _dlyap_transpose_direct(Acl, W):
-    # vec(Acl^T X Acl) = (Acl^T kron Acl^T) vec(X) in row-major flattening
+    # vec(Acl^T X Acl) = (Acl^T kron Acl^T) vec(X) in row-major flattening; the
+    # broadcast product forms the same Kronecker entries as np.kron, faster
     d = Acl.shape[0]
-    lhs = np.eye(d * d) - np.kron(Acl.T, Acl.T)
+    At = Acl.T
+    lhs = np.eye(d * d) - (At[:, None, :, None] * At[None, :, None, :]).reshape(d * d, d * d)
     X = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
     return 0.5 * (X + X.T)
 
@@ -133,7 +142,7 @@ def solve_dlyap(Acl, W):
     return solve_dlyap_transpose(as_matrix(Acl, name="Acl").T, W)
 
 
-def riccati_doubling(A, G, H, tol=0.0):
+def riccati_doubling(A, G, H):
     """Structure-preserving doubling (SDA; Chu, Fan and Lin 2005) for the
     discrete Riccati equation X = H + A^T X (I + G X)^{-1} A, G and H symmetric.
 
@@ -142,15 +151,10 @@ def riccati_doubling(A, G, H, tol=0.0):
     H_k equals the fixed-point iterate after 2^k steps from X = 0, so the limit
     is the one value iteration reaches, and ||A_k|| decays like the spectral
     radius of the closed loop at that limit to the power 2^k. Stops once
-    ||A_k||_F^2 <= 1e-16, or once the last increment of H times ||A_k||_F^2
-    before it is at most tol: the iterate's error contracts like
-    A_k^T e A_k, so that product estimates the distance left to X, which is
-    what lets a small X (a correction to a warm start) stop early. Returns
-    (X, doublings). A singular W, a non-finite iterate or the step cap raise
-    ConvergenceError.
+    ||A_k||_F^2 <= 1e-16 and returns (X, doublings). A singular W, a
+    non-finite iterate or the step cap raise ConvergenceError.
     """
     eye = np.eye(A.shape[0])
-    tail = float(np.sum(A * A))
     for k in range(1, DOUBLING_MAX_STEPS + 1):
         try:
             # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
@@ -159,10 +163,8 @@ def riccati_doubling(A, G, H, tol=0.0):
             raise ConvergenceError(f"riccati_doubling: I + G H is singular at doubling {k}",
                                    iterations=k) from e
         WA, WG = np.split(Y, 2, axis=1)
-        dH = A.T @ H @ WA
-        left = tail * np.linalg.norm(dH, "fro")  # ||A_k||_F^2 ||H_{k+1} - H_k||_F
         G = G + A @ WG @ A.T
-        H = H + dH
+        H = H + A.T @ H @ WA
         A = A @ WA
         G = 0.5 * (G + G.T)
         H = 0.5 * (H + H.T)
@@ -170,11 +172,70 @@ def riccati_doubling(A, G, H, tol=0.0):
         if not (np.isfinite(tail) and np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
             raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",
                                    residual=tail, iterations=k)
-        if tail <= DOUBLING_TOL or left <= tol:
+        if tail <= DOUBLING_TOL:
             return H, k
     raise ConvergenceError(
         f"riccati_doubling: ||A_k||_F^2 = {tail:.3e} after {DOUBLING_MAX_STEPS} "
         "doublings", residual=tail, iterations=DOUBLING_MAX_STEPS)
+
+
+def _inertia(M):
+    """(positive, negative) eigenvalue counts of a symmetric matrix."""
+    ev = np.linalg.eigvalsh(M)
+    return int(np.sum(ev > 0.0)), int(np.sum(ev < 0.0))
+
+
+def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS):
+    """Stabilizing solution of the discrete algebraic Riccati equation
+
+        X = H + A^T X A - A^T X B (R + B^T X B)^{-1} B^T X A,
+
+    H symmetric and R symmetric and invertible, possibly indefinite.
+
+    Starts from riccati_doubling on G = B R^{-1} B^T from zero, or from the
+    warm start X0, then takes Newton steps (Hewer 1971): with the gains
+    K = (R + B^T X B)^{-1} B^T X A, the next X solves the Lyapunov equation
+    X = (A - BK)^T X (A - BK) + H + K^T R K, which is the exact value of the
+    policy K. Every step first checks that R + B^T X B keeps the inertia of
+    R, which a bad warm start breaks. Newton converges quadratically, so the
+    error left after a step of ||dX||_F <= max(tol, sqrt(eps) ||X||_F) is at
+    roundoff; the first such step stops the solve. Returns (X, iterations),
+    iterations counting doublings plus Newton steps, of which max_steps
+    caps the latter. Failures raise ConvergenceError.
+    """
+    inertia = _inertia(R)
+    if X0 is None:
+        G = B @ np.linalg.solve(R, B.T)
+        X, doublings = riccati_doubling(A, 0.5 * (G + G.T), H)
+    else:
+        X, doublings = X0, 0
+    floor = np.sqrt(np.finfo(float).eps)
+    step = np.inf
+    for k in range(1, max_steps + 1):
+        BtX = B.T @ X
+        M = R + BtX @ B
+        M = 0.5 * (M + M.T)
+        if _inertia(M) != inertia:
+            raise ConvergenceError(
+                f"solve_dare: R + B^T X B lost the inertia of R before Newton step {k}",
+                residual=step, iterations=doublings + k - 1)
+        K = np.linalg.solve(M, BtX @ A)
+        W = H + K.T @ R @ K
+        try:
+            Xn = solve_dlyap_transpose(A - B @ K, 0.5 * (W + W.T), checked=False)
+        except np.linalg.LinAlgError as e:
+            raise ConvergenceError(f"solve_dare: singular Lyapunov system at Newton step {k}",
+                                   residual=step, iterations=doublings + k) from e
+        step = float(np.linalg.norm(Xn - X, "fro"))
+        X = Xn
+        if not np.isfinite(step):
+            raise ConvergenceError(f"solve_dare: non-finite iterate at Newton step {k}",
+                                   residual=step, iterations=doublings + k)
+        if step <= max(tol, floor * np.linalg.norm(X, "fro")):
+            return X, doublings + k
+    raise ConvergenceError(
+        f"solve_dare: Newton step {step:.3e} above the stop after {max_steps} steps",
+        residual=step, iterations=doublings + max_steps)
 
 
 def svd(M):

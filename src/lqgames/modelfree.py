@@ -345,10 +345,10 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     with the sampled Sigma. The Gauss-Newton inner update needs P itself and
     cannot be estimated this way, so it is rejected. estimator(K, L) may
     replace the sampler (used to validate the wiring against the analytic
-    inner loop) and must return a GradEstimate; tol, when set, stops early
-    once the estimated gradient norm falls below it. record(j, K, est) is
-    called with each visited iterate and its GradEstimate, for
-    instrumentation.
+    inner loop) and must return a GradEstimate. Every iterate K_0..K_steps is
+    estimated, the returned one included; tol, when set, stops early once
+    the estimated gradient norm falls below it. record(j, K, est) is called
+    with each visited iterate and its GradEstimate, for instrumentation.
     """
     _check_inner_method(flavor, alpha)
     if estimator is None:
@@ -356,17 +356,16 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
         estimator = lambda K_, L_: engine.estimate_inner(K_, L_, cfg.m, cfg.R, cfg.r)
     K = np.array(K0, dtype=float)
     L = np.asarray(L, dtype=float)
-    for j in range(steps):
+    for j in range(steps + 1):
         try:
             est = estimator(K, L)
         except SampleError as e:
             raise _at_inner_step(j, e) from e
         if record is not None:
             record(j, K, est)
-        if tol is not None and np.linalg.norm(est.grad, "fro") <= tol:
-            break
+        if j == steps or (tol is not None and np.linalg.norm(est.grad, "fro") <= tol):
+            return K
         K = _inner_update(K, est.grad, est.Sigma, alpha, flavor)
-    return K
 
 
 def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,

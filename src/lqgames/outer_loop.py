@@ -193,15 +193,16 @@ def outer_step(game, L, inner_res, cfg, omega=None):
 def _solve_inner_warm(game, L, prev, cfg_inner):
     """Inner solve at L, warm-started from the inner result prev at the
     previous L. The Riccati method starts from prev.P and solves cold when
-    that fails or misses the inner tolerance; the gradient methods start from
-    prev.K while it still stabilizes, else from the Riccati best response."""
+    that fails, lands on a non-stabilizing root or misses the inner
+    tolerance; the gradient methods start from prev.K while it still
+    stabilizes, else from the Riccati best response."""
     if cfg_inner.method == inner_loop.RICCATI:
         if prev is not None:
             try:
                 res = inner_loop.solve_inner_riccati(game, L, P0=prev.P)
                 if res.final_grad_norm <= cfg_inner.tol:
                     return res
-            except (ConvergenceError, DefinitenessError):
+            except (ConvergenceError, DefinitenessError, UnstableError):
                 pass
         return inner_loop.solve_inner(game, L, None, cfg_inner)
     K0 = prev.K if prev is not None else None
@@ -230,10 +231,10 @@ def solve_nested(game, L0, cfg, omega=None):
     for t in range(cfg.max_iter + 1):
         try:
             inner_res = _solve_inner_warm(game, L, inner_res, cfg.inner)
-            ev = policy.evaluate(game, policy.PolicyPair(K=inner_res.K, L=L))
         except (ConvergenceError, DefinitenessError, UnstableError) as e:
             e.trace = trace  # partial progress travels with the failure
             raise
+        ev = inner_res.ev
         Lp, mapping, proj_active = projected_step(game, L, *_direction(game, ev, cfg), omega)
         map_norm = float(np.linalg.norm(mapping, "fro"))
         trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho, grad_map_norm=map_norm,

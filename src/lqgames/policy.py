@@ -20,9 +20,6 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError
 
-# Finite-difference oracle step used by the test suite (central differences).
-FD_STEP = 1e-5
-
 # sigma_min threshold treated as singular in the stationarity report
 STATIONARY_SINGULAR_TOL = 1e-12
 
@@ -58,18 +55,6 @@ class PolicyEval:
     E: np.ndarray
     F: np.ndarray
     rho: float
-
-    def to_json_dict(self):
-        return {
-            "P": self.P.tolist(),
-            "Sigma": self.Sigma.tolist(),
-            "cost": self.cost,
-            "gradK": self.gradK.tolist(),
-            "gradL": self.gradL.tolist(),
-            "E": self.E.tolist(),
-            "F": self.F.tolist(),
-            "rho": self.rho,
-        }
 
 
 def closed_loop(game, pi):

@@ -95,7 +95,7 @@ def test_modelfree_runs_report_convergence_truthfully(tmp_path):
     s = summary["solvers"]
     assert "error" not in s["modelfree-outer"]
     assert [s[n]["converged"] for n in ("no-tol", "tiny-tol", "huge-tol")] == [False, False, True]
-    assert s["huge-tol"]["iters"] == 0 and s["tiny-tol"]["iters"] == 2
+    assert s["huge-tol"]["iters"] == 0 and s["tiny-tol"]["iters"] == 3
     assert not s["modelfree-outer"]["converged"]
     assert summary["failing"] == ["tiny-tol"]
 

@@ -123,6 +123,31 @@ def test_inner_riccati_solves_indefinite_qt_when_a_stabilizing_solution_exists()
     assert _rel(res.P, P_ref) <= 1e-10
 
 
+def test_inner_riccati_takes_few_steps_where_fixed_point_steps_contract_slowly():
+    # fixed-point steps of the inner map contract at about 0.85 per step on
+    # this draw and took 56 (L*/2) and 89 (L*) iterations after the
+    # doublings; Newton steps converge quadratically
+    game = random_game(np.random.default_rng([24, 1, 3]), 24, 1, 3)
+    Lstar = lq.solve_gare(game).Lstar
+    for L in (0.5 * Lstar, Lstar):
+        res = lq.solve_inner_riccati(game, L)
+        assert res.iterations <= 12
+        assert res.final_grad_norm <= 1e-9
+
+
+def test_gare_on_a_near_marginal_game_matches_scipy():
+    # an uncontrollable mode at 1 - 1e-6 gives ||P*|| ~ 5.7e5, and fixed-point
+    # steps of the game map contract at about that rate
+    game = lq.LqGame(A=[[1 - 1e-6, 0.0, 0.0], [0.3, 1.2, 0.1], [0.2, 0.0, 0.5]],
+                     B=[[0.0], [1.0], [0.3]], C=[[0.0], [0.05], [0.1]],
+                     Q=np.eye(3), Ru=np.eye(1), Rv=np.eye(1), Sigma0=np.eye(3))
+    nash = lq.solve_gare(game)
+    P_ref = scipy.linalg.solve_discrete_are(
+        game.A, np.hstack([game.B, game.C]), game.Q, np.diag([1.0, -1.0]))
+    assert nash.iterations <= 40
+    assert _rel(nash.Pstar, P_ref) <= 1e-9
+
+
 def test_json_round_trip(tmp_path, g1):
     path = tmp_path / "game.json"
     g1.save(path)

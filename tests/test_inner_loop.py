@@ -48,7 +48,7 @@ def test_riccati_warm_start_agrees(g1):
 
 
 def test_riccati_cold_solve_takes_few_doublings(g1, g2, nash1, nash2):
-    # a cold solve is ~10 doublings plus a polishing step, where value
+    # a cold solve is ~10 doublings plus a Newton step or two, where value
     # iteration took hundreds of steps
     for game, nash in ((g1, nash1), (g2, nash2)):
         assert nash.iterations <= 16

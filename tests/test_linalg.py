@@ -141,6 +141,18 @@ def test_riccati_doubling_failures_are_typed(monkeypatch):
     assert exc.value.iterations == 1
 
 
+def test_solve_dare_failures_are_typed():
+    A, B, H, R = np.diag([1.0, 0.5, 0.3]), np.array([[0.0], [1.0], [0.0]]), np.eye(3), np.eye(1)
+    # a mode at exactly 1 that B cannot reach makes the Newton step's
+    # Lyapunov system singular
+    with pytest.raises(ConvergenceError, match="singular Lyapunov"):
+        lin.solve_dare(A, B, H, R, 1e-12, X0=np.eye(3))
+    # R + B'X0B = 0 has lost the inertia of R
+    with pytest.raises(ConvergenceError, match="inertia") as exc:
+        lin.solve_dare(0.5 * A, B, H, R, 1e-12, X0=-np.eye(3))
+    assert exc.value.iterations == 0
+
+
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableError):
         lin.solve_dlyap(np.diag([1.01, 0.2, 0.2]), np.eye(3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import lqgames as lq
 from lqgames import outer_loop
@@ -189,7 +190,7 @@ def test_nested_attaches_partial_trace_on_inner_failure(g1):
 
 
 def test_failed_riccati_warm_start_falls_back_to_a_cold_solve(g1):
-    # with P0 = -I/lambda_max(B Ru^-1 B') the polish loses Ru + B'PB > 0
+    # with P0 = -I/lambda_max(B Ru^-1 B') the Newton steps lose Ru + B'PB > 0
     L = np.zeros((1, 3))
     G = g1.B @ np.linalg.solve(g1.Ru, g1.B.T)
     P_bad = -np.eye(3) / np.linalg.eigvalsh(G)[-1]
@@ -200,9 +201,53 @@ def test_failed_riccati_warm_start_falls_back_to_a_cold_solve(g1):
     assert np.array_equal(res.P, lq.solve_inner_riccati(g1, L).P)
 
 
+def test_warm_start_on_an_anti_stabilizing_root_falls_back_to_a_cold_solve(g1):
+    # the inner DARE at L = 0 has a root built from the symplectic pencil's
+    # eigenvalues outside the unit circle; Newton steps started there stay there
+    L = np.zeros((1, 3))
+    A, B, d = g1.A, g1.B, g1.d
+    G = B @ np.linalg.solve(g1.Ru, B.T)
+    w, V = scipy.linalg.eig(np.block([[A, np.zeros((d, d))], [-g1.Q, np.eye(d)]]),
+                            np.block([[np.eye(d), G], [np.zeros((d, d)), A.T]]))
+    U = V[:, np.abs(w) > 1.0]
+    P_anti = np.real(U[d:] @ np.linalg.inv(U[:d]))
+    P_anti = 0.5 * (P_anti + P_anti.T)
+    K_anti = np.linalg.solve(g1.Ru + B.T @ P_anti @ B, B.T @ P_anti @ A)
+    assert np.abs(np.linalg.eigvals(A - B @ K_anti)).max() > 10.0
+    with pytest.raises(lq.UnstableError):
+        lq.solve_inner_riccati(g1, L, P0=P_anti)
+    prev = lq.InnerResult(K=K_anti, P=P_anti, iterations=0, final_grad_norm=0.0, trace=[])
+    res = outer_loop._solve_inner_warm(g1, L, prev, lq.InnerConfig(method=lq.RICCATI))
+    assert np.array_equal(res.P, lq.solve_inner_riccati(g1, L).P)
+
+
+def test_warm_inner_solves_take_few_newton_steps_on_large_draws(monkeypatch):
+    # a warm start near the new solution needs a few Newton steps and no
+    # doublings; the fixed-point polish took 7-23 iterations here
+    games, _ = load_perfbench("workloads").draw_games(4)
+    warm_iterations = []
+    solve = lq.inner_loop.solve_inner_riccati
+
+    def traced(game, L, *args, **kwargs):
+        res = solve(game, L, *args, **kwargs)
+        if kwargs.get("P0") is not None:
+            warm_iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(lq.inner_loop, "solve_inner_riccati", traced)
+    cfg = lq.OuterConfig(variant=lq.GAUSS_NEWTON_NG,
+                         inner=lq.InnerConfig(method=lq.RICCATI, tol=1e-10))
+    for key, game, _ in games:
+        if key.startswith("d48"):
+            _, trace = lq.solve_nested(game, np.zeros((game.m2, game.d)), cfg)
+            assert trace.converged, key
+    assert len(warm_iterations) >= 12
+    assert max(warm_iterations) <= 5
+
+
 def test_riccati_inner_meets_default_tol_on_large_draws():
     # on these d = 48 benchmark draws the doubling result alone left
-    # ||gradK|| ~ 1.1e-10 > 1e-10; the fixed-point step after it is what passes
+    # ||gradK|| ~ 1.1e-10 > 1e-10; the Newton step after it is what passes
     games, _ = load_perfbench("workloads").draw_games(4)
     draws = {key: (game, nash) for key, game, nash in games}
     cfg = lq.OuterConfig(variant=lq.GAUSS_NEWTON_NG,
