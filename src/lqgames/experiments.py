@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, game as game_mod, inner_loop, linalg, modelfree, outer_loop, svgplot
-from .errors import ConfigError, LqGamesError
+from .errors import ConfigError, LqGamesError, SampleError
 from .policy import PolicyPair
 from .trace import OuterTrace, trace_row
 
@@ -259,8 +259,12 @@ def _run_modelfree_inner(game, spec, seed):
         rho = linalg.spectral_radius(game.A - game.B @ K - game.C @ L)
         trace.append(trace_row(game, j, L, est.cost_mean, est.grad, rho, K=K, margin=margin))
 
-    modelfree.inner_ng_modelfree(game, L, K0, cfg, args["steps"], args["alpha"],
-                                 flavor=args["flavor"], tol=args["tol"], record=record)
+    try:
+        modelfree.inner_ng_modelfree(game, L, K0, cfg, args["steps"], args["alpha"],
+                                     flavor=args["flavor"], tol=args["tol"], record=record)
+    except SampleError as e:
+        e.trace = trace  # partial progress travels with the failure
+        raise
     # converged: stopped because the estimated gradient norm met the tol
     trace.converged = (args["tol"] is not None and bool(trace.rows)
                        and trace.rows[-1].grad_norm <= args["tol"])
@@ -344,6 +348,10 @@ def run_experiment(cfg, out_dir=None, seed=None):
             solvers[name] = trace.summary(oracle_value=nash.value)
         except (LqGamesError, np.linalg.LinAlgError, ValueError) as e:
             solvers[name] = {"error": f"{type(e).__name__}: {e}", "converged": False}
+            partial = getattr(e, "trace", None)
+            if partial is not None:
+                partial.write_csv(os.path.join(out_dir, f"{name}.csv"))
+                solvers[name]["partial_rows"] = len(partial.rows)
         # failing: raised, or missed a tolerance it was given
         if "error" in solvers[name] or (_has_tolerance(spec) and not solvers[name]["converged"]):
             failing.append(name)

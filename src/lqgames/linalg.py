@@ -168,7 +168,8 @@ def riccati_doubling(A, G, H):
         A = A @ WA
         G = 0.5 * (G + G.T)
         H = 0.5 * (H + H.T)
-        tail = float(np.sum(A * A))
+        with np.errstate(over="ignore"):  # an overflow is caught just below
+            tail = float(np.sum(A * A))
         if not (np.isfinite(tail) and np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
             raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",
                                    residual=tail, iterations=k)

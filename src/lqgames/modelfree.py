@@ -34,6 +34,20 @@ LOCKSTEP_TRAJECTORIES live trajectories, each drawing from its own streams,
 so neither the schedule nor the block size changes a result. A failure
 raises the SampleError that the sequential schedule would raise first.
 
+Every perturbed gain must keep its closed loop strictly inside the stability
+margin (rho < 1 - linalg.STABILITY_MARGIN). Up to SCREEN_MAX_DIM states that
+verdict comes from a batched Schur-Cohn test on each closed loop's
+characteristic polynomial, scaled by 1 - STABILITY_MARGIN, so the margin is
+the one linalg applies. Eigenvalues are computed only where a radius is
+reported: the first failing sample's in the SampleError message,
+estimate_inner's rho_max (eigvals on a strided probe, then on the few loops
+the Schur-Cohn test cannot place below the probe's maximum), and
+estimate_outer's screen of its at most m inner responses, whose largest
+radius goes into the trace. Larger games are screened by batched eigvals.
+
+A SampleError raised by outer_ng_modelfree carries the trace of the steps
+before it as .trace.
+
 Trace columns for the outer solver are diagnostics computed from the model
 (spectral radius, constraint margin); the algorithm itself touches only
 sampled costs and states.
@@ -57,6 +71,13 @@ X0_CUBE = "cube"
 # many as one estimate_inner call at m = 5e4; outer samples run in blocks of
 # max(1, LOCKSTEP_TRAJECTORIES // m).
 LOCKSTEP_TRAJECTORIES = 50_000
+# Closed loops up to this dimension are screened by the Schur-Cohn test on
+# their characteristic polynomials; larger ones by batched eigvals, because
+# near the margin the coefficient route stops agreeing with eigvals from
+# d = 4 on.
+SCREEN_MAX_DIM = 3
+# estimate_inner's rho_max runs eigvals on every RHO_PROBE_STRIDE-th loop.
+RHO_PROBE_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -99,18 +120,111 @@ def _sphere(gen, m, rows, cols, radius):
     return (radius * w / norms).reshape(m, rows, cols)
 
 
-def _unstable_sample(rho, radius):
-    """The SampleError for the first perturbed gain in rho at or past the
-    stability margin, or None."""
-    bad = np.nonzero(rho >= 1.0 - linalg.STABILITY_MARGIN)[0]
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    return SampleError(
-        f"perturbed gain {i} of {rho.shape[0]} is destabilizing "
-        f"(rho = {rho[i]:.6f}); shrink the smoothing radius r "
-        f"(currently {radius:g}) or move to a better-conditioned pair",
-        index=i)
+def _eig_radii(Acl):
+    """Spectral radii of a stack of closed loops Acl (..., d, d), from batched eigvals."""
+    return np.abs(np.linalg.eigvals(Acl)).max(axis=-1)
+
+
+def _char_poly(Acl):
+    """Coefficients [1, c_1, ..., c_d], stacked on a leading axis, of the monic
+    characteristic polynomials z^d + c_1 z^(d-1) + ... + c_d of a stack Acl
+    (..., d, d), d <= 3.
+
+    They come from the power traces p_k = tr Acl^k by Newton's identities,
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); tr Acl^3 is the sum of
+    Acl^2 * Acl^T, so one batched product serves every d <= 3.
+    """
+    d = Acl.shape[-1]
+    p = [np.einsum("...ii->...", Acl)]
+    if d > 1:
+        A2 = Acl @ Acl
+        p.append(np.einsum("...ii->...", A2))
+        if d > 2:
+            p.append(np.einsum("...ij,...ji->...", A2, Acl))
+        del A2  # the largest temporary; gone before the coefficients are built
+    c = np.empty((d + 1,) + Acl.shape[:-2])
+    c[0] = 1.0
+    for k in range(1, d + 1):
+        c[k] = -sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k
+    return c
+
+
+def _inside(coef, s):
+    """Mask of the monic polynomials coef (n + 1, ...) whose roots all lie in
+    |z| < s, by the Schur-Cohn step-down (Jury 1964) on the coefficients of
+    p(s z) / s^n: with a the leading-first coefficients, k = a_n / a_0 and
+    a <- a[:n] - k a[n:0:-1] until one is left, the roots lie inside exactly
+    when every |k| < 1. A polynomial that fails a step may turn into infs or
+    NaNs in later ones; those compare false and stay rejected."""
+    n = coef.shape[0] - 1
+    ok = np.ones(coef.shape[1:], dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = coef / (s ** np.arange(n + 1)).reshape((-1,) + (1,) * ok.ndim)
+        for j in range(n, 0, -1):
+            k = a[j] / a[0]
+            ok &= np.abs(k) < 1.0
+            a = a[:j] - k * a[j:0:-1]
+    return ok
+
+
+class _Screen:
+    """Stability verdicts for a stack of closed loops Acl (..., d, d):
+    stable is the mask of rho(Acl) < 1 - STABILITY_MARGIN.
+
+    Up to SCREEN_MAX_DIM the verdicts come from the Schur-Cohn test on the
+    characteristic polynomials, and eigvals runs only where a radius is
+    reported. Above it they come from batched eigvals, whose radii are kept.
+    """
+
+    def __init__(self, Acl):
+        self.Acl = Acl
+        s = 1.0 - linalg.STABILITY_MARGIN
+        if Acl.shape[-1] <= SCREEN_MAX_DIM:
+            self.coef, self.rho = _char_poly(Acl), None
+            self.stable = _inside(self.coef, s)
+        else:
+            self.coef, self.rho = None, _eig_radii(Acl)
+            self.stable = self.rho < s
+
+    def error(self, radius, row=()):
+        """The SampleError for the first perturbed gain in the (k, d, d) stack
+        Acl[row] that is not stable, or None."""
+        bad = np.flatnonzero(~self.stable[row])
+        if not bad.size:
+            return None
+        i = int(bad[0])
+        return SampleError(
+            f"perturbed gain {i} of {self.stable[row].shape[0]} is destabilizing "
+            f"(rho = {_eig_radii(self.Acl[row][i]):.6f}); shrink the smoothing radius r "
+            f"(currently {radius:g}) or move to a better-conditioned pair",
+            index=i)
+
+    def max_radius(self):
+        """The largest radius of a (k, d, d) stack, as eigvals gives it.
+
+        eigvals on every RHO_PROBE_STRIDE-th loop gives rho_hat; the
+        Schur-Cohn test at rho_hat (1 - 1e-12) places most of the others
+        below it, and eigvals decides the few it cannot. The result is
+        exact unless some loop's eigvals and characteristic polynomial
+        disagree by more than 1e-12 relative, which takes eigenvalues near a
+        defective (Jordan) one.
+        """
+        if self.rho is not None:
+            return float(self.rho.max())
+        rho_hat = float(_eig_radii(self.Acl[::RHO_PROBE_STRIDE]).max())
+        rest = self.Acl[~_inside(self.coef, rho_hat * (1.0 - 1e-12))]
+        return max(rho_hat, float(_eig_radii(rest).max())) if len(rest) else rho_hat
+
+
+def _screen_samples(Acl, radius):
+    """The largest radius of the sampled closed loops Acl (k, d, d), after
+    raising the SampleError of the first one that is not stable. The screen
+    and its arrays are gone once it returns, before the rollout allocates."""
+    screen = _Screen(Acl)
+    error = screen.error(radius)
+    if error is not None:
+        raise error
+    return screen.max_radius()
 
 
 def _at_inner_step(j, e):
@@ -176,12 +290,11 @@ class RolloutEngine:
     def draw_x0(self, m):
         return self._x0(self._next_gen(), m)
 
-    def _radii(self, K, L):
-        """(P, k) closed-loop spectral radii of the gains K (P, k, m1, d)
-        against L (P, m2, d), from one batched eigvals call."""
+    def _closed_loops(self, K, L):
+        """(P, k, d, d) closed loops A - C L - B K of the gains K (P, k, m1, d)
+        against L (P, m2, d)."""
         g = self.game
-        Acl = (g.A - g.C @ L)[:, None] - g.B @ K
-        return np.abs(np.linalg.eigvals(Acl)).max(axis=-1)
+        return (g.A - g.C @ L)[:, None] - g.B @ K
 
     def _rollout(self, K, L, x0, R):
         """Batched R-step rollouts of P gain pairs with k trajectories each.
@@ -236,14 +349,11 @@ class RolloutEngine:
         L = np.asarray(L, dtype=float)[None]
         U = self.draw_perturbations(m, g.m1, g.d, r)[None]
         x0 = self.draw_x0(m)[None]
-        rho = self._radii(K[:, None] + U, L)[0]
-        error = _unstable_sample(rho, r)
-        if error is not None:
-            raise error
+        rho_max = _screen_samples(self._closed_loops(K[:, None] + U, L)[0], r)
         grad, Sigma, cost = self._estimates(K, L, U, x0, R, r)
         return GradEstimate(grad=grad[0], Sigma=Sigma[0],
                             cost_mean=float(cost.mean()), cost_std=float(cost.std()),
-                            m=m, rho_max=float(rho.max()))
+                            m=m, rho_max=rho_max)
 
     def estimate_outer(self, L, K_warm, m, R, r, inner_steps, inner_alpha, inner_flavor):
         """Zeroth-order (gradL, Sigma) estimate for the maximin objective.
@@ -279,7 +389,9 @@ class RolloutEngine:
         # the sequential schedule screens each response right after its inner
         # solve, so a screen failure before the first inner failure wins
         n = m if error is None else error[0]
-        rho = self._radii(Ks[:n, None], Ls[:n])[:, 0]
+        # eigvals here: the screen runs over at most m responses, and their
+        # largest radius goes into the trace
+        rho = _eig_radii(self._closed_loops(Ks[:n, None], Ls[:n]))[:, 0]
         bad = np.nonzero(rho >= 1.0 - linalg.STABILITY_MARGIN)[0]
         if bad.size:
             i = int(bad[0])
@@ -315,11 +427,11 @@ class RolloutEngine:
         for j in range(steps):
             U = np.stack([_sphere(_generator(self.seed, s + 2 * j), k, g.m1, g.d, r)
                           for s in streams[:n]])
-            rho = self._radii(K[:n, None] + U, Ls[:n])
-            failed = np.nonzero((rho >= 1.0 - linalg.STABILITY_MARGIN).any(axis=1))[0]
+            screen = _Screen(self._closed_loops(K[:n, None] + U, Ls[:n]))
+            failed = np.flatnonzero(~screen.stable.all(axis=1))
             if failed.size:
                 n = int(failed[0])
-                error = (n, _at_inner_step(j, _unstable_sample(rho[n], r)))
+                error = (n, _at_inner_step(j, screen.error(r, n)))
                 if n == 0:
                     break
                 U = U[:n]
@@ -403,7 +515,11 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     trace = OuterTrace(meta={"variant": f"modelfree-{flavor}",
                              "mu": float(linalg.min_eigenvalue_sym(game.Sigma0))})
     for t in range(T + 1):
-        est = estimator(L)
+        try:
+            est = estimator(L)
+        except SampleError as e:
+            e.trace = trace  # partial progress travels with the failure
+            raise
         if flavor == outer_loop.NG:
             D = est.grad
         else:

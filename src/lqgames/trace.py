@@ -19,6 +19,9 @@ CSV_HEADER = "t,cost,grad_map_norm,grad_norm,lambda_min_qtilde,rho,proj_active"
 
 RATE_FIT_WINDOW = 20
 MONOTONE_SLACK = 1e-9
+# Oracle gaps at or below GAP_FLOOR_EPS * eps * max(1, |oracle value|) are
+# roundoff and stay out of the rate fit.
+GAP_FLOOR_EPS = 64
 
 
 @dataclass
@@ -133,7 +136,10 @@ class OuterTrace:
         if last is not None:
             if oracle_value is not None:
                 gap = last.cost - float(oracle_value)
-                rate = fit_log_slope([abs(float(oracle_value) - r.cost) for r in self.rows])
+                # gaps at roundoff measure noise, not the rate: leave them out
+                floor = GAP_FLOOR_EPS * np.finfo(float).eps * max(1.0, abs(float(oracle_value)))
+                gaps = [abs(float(oracle_value) - r.cost) for r in self.rows]
+                rate = fit_log_slope([v if v > floor else None for v in gaps])
             if rate is None:
                 rate = fit_log_slope(self.map_norms())
         out = {

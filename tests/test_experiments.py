@@ -1,13 +1,14 @@
 """Experiment runner, artifact files, and the command-line interface."""
 
 import json
+import math
 import os
 
 import pytest
 
 import lqgames as lq
 from lqgames import cli, experiments
-from lqgames.trace import OuterTrace
+from lqgames.trace import OuterTrace, TraceRow
 
 
 def _write_config(path, d):
@@ -212,6 +213,47 @@ def test_trace_csv_round_trip(case2_run):
     with open(path) as fh:
         original = fh.read()
     assert trace.to_csv() == original
+
+
+def _trace_of(costs, map_norms):
+    return OuterTrace(rows=[TraceRow(t=t, cost=c, grad_map_norm=g, grad_norm=g,
+                                     lambda_min_qtilde=1.0, rho=0.5, proj_active=False)
+                            for t, (c, g) in enumerate(zip(costs, map_norms))])
+
+
+def test_fitted_rate_leaves_out_gaps_at_roundoff():
+    # the gap to the oracle halves for 15 steps, then sits at roundoff (1e-16
+    # and 2e-16, below the floor of 64 eps max(1, |oracle|)): the fit sees
+    # only the halving
+    oracle = 0.25
+    gaps = [0.5 ** t for t in range(15)] + [1e-16, 2e-16] * 5
+    maps = [0.9 ** t for t in range(25)]
+    summary = _trace_of([oracle + g for g in gaps], maps).summary(oracle_value=oracle)
+    assert summary["fitted_local_rate"] == pytest.approx(math.log(0.5), rel=1e-9)
+    # with fewer than two gaps above the floor the map norms give the rate
+    summary = _trace_of([oracle + 0.5, oracle] + [oracle + 1e-16] * 5, maps[:7]).summary(
+        oracle_value=oracle)
+    assert summary["fitted_local_rate"] == pytest.approx(math.log(0.9), rel=1e-9)
+
+
+def test_failed_modelfree_runs_leave_their_partial_traces(tmp_path):
+    # at r = 0.75 a perturbed gain destabilizes the third inner iterate; at
+    # eta = 0.1 the outer run's fourth L is one that the warm-started inner
+    # gains no longer stabilize
+    cfg = experiments.ExperimentConfig.from_dict({"game": "case1", "seed": 1, "solvers": [
+        {"solver": "modelfree-inner", "m": 200, "R": 20, "r": 0.75, "steps": 6,
+         "alpha": 0.05, "flavor": "PG"},
+        {"solver": "modelfree-outer", "m": 8, "R": 20, "r": 0.05, "T": 3, "eta": 0.1,
+         "inner_steps": 1, "inner_alpha": 1e-3, "inner_flavor": "PG"}]})
+    summary = experiments.run_experiment(cfg, out_dir=str(tmp_path))
+    assert sorted(summary["failing"]) == ["modelfree-inner-PG", "modelfree-outer"]
+    for name, rows in (("modelfree-inner-PG", 2), ("modelfree-outer", 3)):
+        entry = summary["solvers"][name]
+        assert entry["error"].startswith("SampleError: inner step")
+        assert entry["partial_rows"] == rows
+        trace = OuterTrace.read_csv(tmp_path / f"{name}.csv")
+        assert [r.t for r in trace.rows] == list(range(rows))
+        assert not (tmp_path / f"{name}.json").exists()
 
 
 def test_reruns_are_byte_identical(case2_run, tmp_path):

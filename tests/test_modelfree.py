@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lqgames as lq
+from lqgames import linalg
 from lqgames import modelfree as mf
 
 
@@ -106,6 +107,96 @@ def test_destabilizing_perturbation_reports_sample_index(g1, k1_at_zero):
     with pytest.raises(lq.SampleError) as exc:
         eng.estimate_inner(k1_at_zero, np.zeros((1, 3)), 64, 10, 1.0)
     assert exc.value.index == 0
+
+
+# -- the stability screen ----------------------------------------------------
+
+EDGE = 1.0 - linalg.STABILITY_MARGIN
+
+
+def _loop_with_radius(rng, d, rho):
+    """Q T Q' with Q a random rotation and T block upper triangular: its
+    dominant eigenvalue is +-rho or the pair rho e^(+-i theta), the others lie
+    in [-0.8, 0.8]."""
+    T = np.triu(0.5 * rng.standard_normal((d, d)), 1)
+    T[np.diag_indices(d)] = rng.uniform(-0.8, 0.8, d)
+    if d >= 2 and rng.random() < 0.5:
+        theta = rng.uniform(0.3, 2.8)
+        T[:2, :2] = rho * np.array([[np.cos(theta), -np.sin(theta)],
+                                    [np.sin(theta), np.cos(theta)]])
+    else:
+        T[0, 0] = rho * rng.choice([-1.0, 1.0])
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return Q @ T @ Q.T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_schur_cohn_screen_matches_eigvals_at_the_margin(d):
+    # radii 1e-12 to 1e-8 either side of the margin, 100 draws each
+    rng = np.random.default_rng([d, 2026])
+    deltas = np.logspace(-12, -8, 9)
+    rhos = np.repeat(np.concatenate([EDGE - deltas, EDGE + deltas]), 100)
+    Acl = np.array([_loop_with_radius(rng, d, rho) for rho in rhos])
+    want = mf._eig_radii(Acl) < EDGE
+    assert np.array_equal(want, rhos < EDGE)  # eigvals resolves every draw
+    screen = mf._Screen(Acl)
+    assert screen.coef is not None  # the Schur-Cohn branch
+    assert np.array_equal(screen.stable, want)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.8])
+def test_schur_cohn_screen_matches_eigvals_on_sampled_gains(g1, k1_at_zero, r):
+    eng = mf.RolloutEngine(g1, 31)
+    U = eng.draw_perturbations(150_000, g1.m1, g1.d, r)
+    Acl = eng._closed_loops((k1_at_zero + U)[None], np.full((1, 1, 3), 0.1))[0]
+    want = mf._eig_radii(Acl) < EDGE
+    assert np.array_equal(mf._Screen(Acl).stable, want)
+    if r == 0.8:
+        assert 100 <= np.count_nonzero(~want) < want.size
+
+
+def test_estimate_inner_rho_max_is_the_largest_sampled_radius(g1, k1_at_zero):
+    m, r, L = 5000, 0.3, np.zeros((1, 3))
+    est = mf.RolloutEngine(g1, 8).estimate_inner(k1_at_zero, L, m, 5, r)
+    U = mf.RolloutEngine(g1, 8).draw_perturbations(m, g1.m1, g1.d, r)
+    radii = [linalg.spectral_radius(g1.A - g1.B @ (k1_at_zero + u)) for u in U]
+    assert int(np.argmax(radii)) % mf.RHO_PROBE_STRIDE != 0  # not a probe sample
+    assert est.rho_max == max(radii)
+
+
+def test_estimate_inner_screens_larger_games_by_eigvals(monkeypatch):
+    d = mf.SCREEN_MAX_DIM + 1
+    rng = np.random.default_rng([d, 1, 1])
+    A = rng.standard_normal((d, d))
+    A *= 1.02 / np.abs(np.linalg.eigvals(A)).max()
+    game = lq.LqGame(A=A, B=rng.standard_normal((d, 1)), C=0.05 * rng.standard_normal((d, 1)),
+                     Q=np.eye(d), Ru=np.eye(1), Rv=np.eye(1), Sigma0=np.eye(d))
+    L = np.zeros((1, d))
+    K = lq.solve_inner_riccati(game, L).K
+
+    def no_char_poly(Acl):
+        raise AssertionError("Schur-Cohn screen used above SCREEN_MAX_DIM")
+
+    monkeypatch.setattr(mf, "_char_poly", no_char_poly)
+    m, verdicts = 400, []
+    for r in (0.2, 0.5, 1.0):
+        U = mf.RolloutEngine(game, 5).draw_perturbations(m, 1, d, r)
+        radii = np.array([linalg.spectral_radius(game.A - game.B @ (K + u)) for u in U])
+        bad = np.flatnonzero(radii >= EDGE)
+        try:
+            est = mf.RolloutEngine(game, 5).estimate_inner(K, L, m, 10, r)
+        except lq.SampleError as e:
+            i = int(bad[0])
+            assert e.index == i
+            assert str(e) == (f"perturbed gain {i} of {m} is destabilizing "
+                              f"(rho = {radii[i]:.6f}); shrink the smoothing radius r "
+                              f"(currently {r:g}) or move to a better-conditioned pair")
+            verdicts.append(i)
+        else:
+            assert not bad.size
+            assert est.rho_max == radii.max()
+            verdicts.append(None)
+    assert verdicts[0] is None and verdicts[1] > 0 and verdicts[2] is not None
 
 
 # -- wiring against the analytic loops ---------------------------------------
