@@ -25,7 +25,7 @@ from .modelfree import (EstimatorConfig, GradEstimate, RolloutEngine,
                         outer_ng_modelfree, rollout_length_for)
 from .outer_loop import (GAUSS_NEWTON_NG, NATURAL_NG, NG, PROJECTION_OFF,
                          PROJECTION_WHITENED_SV_CLIP, OmegaSet,
-                         OuterConfig, nested_gradient, outer_step,
+                         OuterConfig, outer_step,
                          project_omega, solve_nested, w_matrix)
 from .policy import (PolicyEval, PolicyPair, StationarityReport,
                      check_stationary, cost_finite_horizon, evaluate)
@@ -45,7 +45,7 @@ __all__ = [
     "inner_ng_modelfree", "outer_ng_modelfree", "rollout_length_for",
     "GAUSS_NEWTON_NG", "NATURAL_NG", "NG", "OmegaSet", "OuterConfig",
     "PROJECTION_OFF", "PROJECTION_WHITENED_SV_CLIP",
-    "nested_gradient", "outer_step", "project_omega", "solve_nested",
+    "outer_step", "project_omega", "solve_nested",
     "w_matrix",
     "PolicyEval", "PolicyPair", "StationarityReport", "check_stationary",
     "cost_finite_horizon", "evaluate",

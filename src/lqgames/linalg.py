@@ -73,11 +73,6 @@ def min_eigenvalue_sym(M):
     return float(np.linalg.eigvalsh(M)[0])
 
 
-def is_stable(Acl):
-    """True iff rho(Acl) < 1 - STABILITY_MARGIN."""
-    return spectral_radius(Acl) < 1.0 - STABILITY_MARGIN
-
-
 def require_stable(Acl, context="closed loop", iteration=None):
     """Return rho(Acl), raising UnstableError when at or above the margin."""
     rho = spectral_radius(Acl)

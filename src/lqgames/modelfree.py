@@ -9,14 +9,24 @@ correlation estimate reuses the same rollouts. Rollout sums run over R terms
 starting at the initial state, matching the infinite-horizon quantities they
 truncate.
 
-One rollout kernel serves every estimate. It advances a stack of gain pairs
+One rollout kernel serves every estimate. It takes a stack of gain pairs
 (K_p, L_p), each with k trajectories and one perturbed minimizer gain per
-trajectory, through u = K x, x' = (A - C L) x - B u, with stage cost
-x'(Q - L'Rv L)x + u'Ru u. State and control are kept together as one
-(pairs, d + m1, k) array, so that the dynamics, the stage cost and the state
-correlation sum are batched matrix products. estimate_inner is the one-pair
-case; the lock-step inner solves and the outer estimate's own rollouts (one
-trajectory per pair) are the others.
+trajectory, under u = K x, x' = (A - C L) x - B u and the stage cost
+x'(Q - L'Rv L)x + u'Ru u, and returns each trajectory's R-step cost and each
+pair's state correlation sum. Trajectory i's states are A_i^t x0_i for its
+closed loop A_i = A - C L - B K_i, so both sums follow from
+M_i = sum_{t<R} A_i^t x0_i x0_i' A_i^t', which binary doubling builds in
+O(log R) products of d x d matrices; the cost is <W_i, M_i> for the stage
+weight W_i = Q - L'Rv L + K_i'Ru K_i. The products are einsums over
+(d, d, trajectories) stacks, taken in slices of at most
+ROLLOUT_SLICE_ENTRIES // d^2 trajectories to bound memory. Doubling costs
+O(d^3 log R) per trajectory and stepping O(d^2 R), so for rollouts short
+for their dimension, R < ROLLOUT_DOUBLING_R_PER_D2 * d^2, the kernel steps R
+times instead. estimate_inner is the one-pair case; the lock-step inner
+solves and the outer estimate's own rollouts (one trajectory per pair) are
+the others. Budgets (m, R, r and the step counts) are checked once, where
+they enter: estimate_inner, estimate_outer, inner_ng_modelfree and
+outer_ng_modelfree raise ConfigError for bad ones.
 
 Randomness is counter-based: every draw comes from a Philox generator keyed
 by (seed, stream index), with one stream per logical draw block. Results are
@@ -54,6 +64,7 @@ sampled costs and states.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +89,21 @@ LOCKSTEP_TRAJECTORIES = 50_000
 SCREEN_MAX_DIM = 3
 # estimate_inner's rho_max runs eigvals on every RHO_PROBE_STRIDE-th loop.
 RHO_PROBE_STRIDE = 64
+# Rollouts build each trajectory's R-step sums by doubling, O(d^3 log R) per
+# trajectory, when R >= ROLLOUT_DOUBLING_R_PER_D2 * d^2, and step R times,
+# O(d^2 R), below that. The R at which both took equal time (m = 2e4, one
+# pair, random games with m1 = 1) was about 6 at d = 2, 14 at d = 3, 32 at
+# d = 4, 75 at d = 5, 120 at d = 6, 250 at d = 8, 330 at d = 10 and 1300 at
+# d = 20.
+ROLLOUT_DOUBLING_R_PER_D2 = 3
+# Doubling rollouts work on slices of max(1, ROLLOUT_SLICE_ENTRIES // d^2)
+# trajectories (1820 at d = 3), so their six work arrays hold at most this
+# many entries each; at d = 3 slices of 1024 to 8192 trajectories took about
+# the same time.
+ROLLOUT_SLICE_ENTRIES = 16_384
+# Products of (d, d, n) stacks, the stack index last: A B and A B'.
+_PRODUCT = "ijn,jln->iln"
+_PRODUCT_T = "ijn,ljn->iln"
 
 
 @dataclass(frozen=True)
@@ -237,6 +263,44 @@ def _inner_update(K, grad, Sigma, alpha, flavor):
     return inner_loop.natural_pg_update(K, grad, Sigma, alpha)
 
 
+def _doubled_sums(A, X, M, T, AT, R):
+    """M = sum_{t<R} A^t X A^t' for (d, d, n) stacks, R >= 1, by binary
+    doubling (Smith 1968): from X_1 = X, X_2n = X_n + A^n X_n A^n' and
+    A^2n = A^n A^n, and each set bit of R, lowest first, folds in
+    M <- X_n + A^n M A^n'. That takes O(log R) products where stepping takes
+    R. A, X, T and AT are overwritten; M is returned."""
+    first = True
+    while True:
+        if R & 1:
+            if first:
+                np.copyto(M, X)
+                first = False
+            else:
+                np.einsum(_PRODUCT, A, M, out=T)
+                np.einsum(_PRODUCT_T, T, A, out=M)
+                M += X
+        R >>= 1
+        if not R:
+            return M
+        np.einsum(_PRODUCT, A, X, out=T)
+        np.einsum(_PRODUCT_T, T, A, out=AT)
+        X += AT
+        np.einsum(_PRODUCT, A, A, out=T)
+        A, T = T, A
+
+
+def _check_budget(m, R, r, **counts):
+    """Raise ConfigError unless m and R are integers >= 1, r is finite and
+    positive, and every named count (inner_steps, T, steps) is an integer
+    >= 0."""
+    bounds = [("m", m, 1), ("R", R, 1)] + [(name, value, 0) for name, value in counts.items()]
+    for name, value, least in bounds:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r < math.inf:
+        raise ConfigError(f"r must be finite and positive, got {r!r}")
+
+
 def _check_inner_method(flavor, alpha):
     if flavor == inner_loop.GAUSS_NEWTON:
         raise ConfigError("the Gauss-Newton inner update cannot be estimated "
@@ -300,10 +364,61 @@ class RolloutEngine:
         """Batched R-step rollouts of P gain pairs with k trajectories each.
 
         K is (P, k, m1, d), one minimizer gain per trajectory; L is
-        (P, m2, d); x0 is (P, k, d). Returns the (P, k) cost sums and the
-        (P, d, d) state correlation sums over each pair's trajectories and
-        steps. Every pair is computed alone, so a result does not depend on
-        what else is in the stack.
+        (P, m2, d); x0 is (P, k, d); R >= 1. Returns the (P, k) cost sums and
+        the (P, d, d) state correlation sums over each pair's trajectories
+        and steps. Every pair is computed alone, so a result does not depend
+        on what else is in the stack. The sums are built by doubling from
+        R >= ROLLOUT_DOUBLING_R_PER_D2 * d^2 on, and by stepping below it.
+        """
+        if R >= ROLLOUT_DOUBLING_R_PER_D2 * self.game.d ** 2:
+            return self._rollout_doubling(K, L, x0, R)
+        return self._rollout_steps(K, L, x0, R)
+
+    def _rollout_doubling(self, K, L, x0, R):
+        """_rollout by doubling: trajectory i's correlation sum M_i comes
+        from _doubled_sums on its closed loop, and its cost is <W_i, M_i>.
+
+        Arrays keep the trajectory index last, (d, d, pairs, trajectories),
+        so that every product is one einsum over the stack. The work runs in
+        chunks of at most max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories:
+        whole pairs when a pair has fewer, else one fixed-offset slice of one
+        pair's trajectories, so a pair's sums do not depend on the stack.
+        """
+        g = self.game
+        d = g.d
+        P, k = x0.shape[:2]
+        F = np.moveaxis(g.A - g.C @ L, 0, -1)[..., None]  # (d, d, P, 1)
+        Wbar = np.moveaxis(g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L, 0, -1)[..., None]
+        cost, S = np.empty((P, k)), np.zeros((d, d, P))
+        size = max(1, ROLLOUT_SLICE_ENTRIES // d ** 2)
+        pairs = size // min(k, size)
+        work = np.empty((6, d * d * max(2, min(P, pairs) * min(k, size))))
+        for p0 in range(0, P, pairs):
+            p = slice(p0, p0 + pairs)
+            for k0 in range(0, k, size):
+                t = slice(k0, k0 + size)
+                Kt = np.ascontiguousarray(np.moveaxis(K[p, t], (0, 1), (2, 3)))
+                x = np.ascontiguousarray(np.moveaxis(x0[p, t], 2, 0))
+                kept = x.shape[2]
+                if x.shape[1] * kept == 1:
+                    # einsum sums over a lone (d, d, 1) stack in another
+                    # order; a copy of the trajectory keeps the usual one
+                    Kt, x = np.concatenate((Kt, Kt), -1), np.concatenate((x, x), -1)
+                shape = (d, d) + x.shape[1:]
+                n = shape[2] * shape[3]
+                Acl, W, X, M, T, AT = (w[:d * d * n].reshape(shape) for w in work)
+                np.einsum("ia,ajpk->ijpk", g.B, Kt, out=Acl)
+                np.subtract(F[:, :, p], Acl, out=Acl)
+                np.einsum("aipk,ajpk->ijpk", Kt, np.einsum("ab,bjpk->ajpk", g.Ru, Kt), out=W)
+                W += Wbar[:, :, p]
+                np.multiply(x[:, None], x[None], out=X)
+                _doubled_sums(*(a.reshape(d, d, n) for a in (Acl, X, M, T, AT)), R)
+                cost[p, t] = np.einsum("ijpk,ijpk->pk", W, M)[:, :kept]
+                S[:, :, p] += M[..., :kept].sum(axis=-1)
+        return cost, np.moveaxis(S, -1, 0)
+
+    def _rollout_steps(self, K, L, x0, R):
+        """_rollout by stepping R times.
 
         The state and the control share one (P, d + m1, k) array z = [x; u],
         so that x' = [A - C L, -B] z, the stage cost z' diag(Q - L'Rv L, Ru) z
@@ -344,6 +459,7 @@ class RolloutEngine:
 
     def estimate_inner(self, K, L, m, R, r):
         """Zeroth-order (gradK, Sigma) estimate at (K, L) by perturbing K."""
+        _check_budget(m, R, r)
         g = self.game
         K = np.asarray(K, dtype=float)[None]
         L = np.asarray(L, dtype=float)[None]
@@ -365,6 +481,7 @@ class RolloutEngine:
         cost and the correlation estimate. Returns the estimate and sample
         0's response, the warm start for the next call.
         """
+        _check_budget(m, R, r, inner_steps=inner_steps)
         _check_inner_method(inner_flavor, inner_alpha)
         g = self.game
         L = np.asarray(L, dtype=float)
@@ -462,6 +579,7 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     the estimated gradient norm falls below it. record(j, K, est) is called
     with each visited iterate and its GradEstimate, for instrumentation.
     """
+    _check_budget(cfg.m, cfg.R, cfg.r, steps=steps)
     _check_inner_method(flavor, alpha)
     if estimator is None:
         engine = RolloutEngine(game, cfg.seed, cfg.x0_dist)
@@ -496,6 +614,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     estimator(L) -> GradEstimate may replace the whole sampling block (used
     for analytic wiring checks).
     """
+    _check_budget(cfg.m, cfg.R, cfg.r, T=T, inner_steps=inner_steps)
     if flavor not in (outer_loop.NG, outer_loop.NATURAL_NG):
         raise ConfigError("model-free outer flavor must be NG or NaturalNG")
     if eta is None or eta <= 0.0:

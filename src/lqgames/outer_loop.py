@@ -120,12 +120,6 @@ def w_matrix(game, P, require_pd=True):
     return W
 
 
-def nested_gradient(game, L, inner_res):
-    """Gradient of the maximin objective at L: the L-gradient of C at (K(L), L)."""
-    ev = policy.evaluate(game, policy.PolicyPair(K=inner_res.K, L=L))
-    return ev.gradL
-
-
 def project_omega(L, omega, game):
     """Projection onto Omega by whitened singular-value clipping.
 
@@ -206,7 +200,8 @@ def _solve_inner_warm(game, L, prev, cfg_inner):
                 pass
         return inner_loop.solve_inner(game, L, None, cfg_inner)
     K0 = prev.K if prev is not None else None
-    if K0 is None or not linalg.is_stable(game.A - game.B @ K0 - game.C @ L):
+    if (K0 is None or linalg.spectral_radius(game.A - game.B @ K0 - game.C @ L)
+            >= 1.0 - linalg.STABILITY_MARGIN):
         K0 = inner_loop.solve_inner_riccati(game, L).K
     return inner_loop.solve_inner(game, L, K0, cfg_inner)
 

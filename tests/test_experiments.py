@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import lqgames as lq
@@ -141,14 +142,28 @@ def test_config_reads_dataclass_defaults_and_coerces_numbers():
     assert cfg.variant == lq.GAUSS_NEWTON_NG and cfg.eta is None
 
 
-def test_readme_config_runs(tmp_path):
+def _readme_block(lang):
+    """The first fenced block of the README in the given language."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         text = fh.read()
-    block = text.split("```json\n", 1)[1].split("```", 1)[0]
-    cfg = experiments.ExperimentConfig.from_dict(json.loads(block))
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_runs(tmp_path):
+    cfg = experiments.ExperimentConfig.from_dict(json.loads(_readme_block("json")))
     summary = experiments.run_experiment(cfg, out_dir=str(tmp_path))
     assert summary["failing"] == []
+
+
+def test_readme_quickstart_runs(capsys):
+    # it ends on a sampled estimate at R = 300, which is not a power of two
+    scope = {}
+    exec(compile(_readme_block("python"), "README.md", "exec"), scope)
+    assert scope["trace"].converged
+    grad, Sigma = scope["grad"], scope["Sigma"]
+    assert grad.shape == (1, 3) and np.all(np.isfinite(grad))
+    assert np.array_equal(Sigma, Sigma.T) and np.linalg.eigvalsh(Sigma)[0] > 0.0
 
 
 def test_solver_names_are_derived_and_sanitized():

@@ -39,10 +39,12 @@ def test_spectral_radius_known():
     assert lin.spectral_radius(np.diag([0.5, -0.25, 0.1])) == pytest.approx(0.5)
 
 
-def test_is_stable_margin():
-    assert lin.is_stable(np.diag([0.9, 0.5, 0.1]))
-    assert not lin.is_stable(np.eye(3))
-    assert not lin.is_stable(np.diag([1.5, 0.0, 0.0]))
+def test_require_stable_margin():
+    assert lin.require_stable(np.diag([0.9, 0.5, 0.1])) == pytest.approx(0.9)
+    for Acl in (np.eye(3), np.diag([1.5, 0.0, 0.0]),
+                np.diag([1.0 - 0.5 * lin.STABILITY_MARGIN, 0.0, 0.0])):
+        with pytest.raises(UnstableError):
+            lin.require_stable(Acl)
 
 
 def test_require_stable_raises_with_context():

@@ -449,3 +449,109 @@ def test_lockstep_results_do_not_depend_on_the_block_size(g1, k1_at_zero, monkey
     L_b, tr_b = lq.outer_ng_modelfree(g1, np.zeros((1, 3)), cfg, **kw)
     assert np.array_equal(L_a, L_b)
     assert tr_a.to_csv() == tr_b.to_csv()
+
+
+# -- the rollout kernel -------------------------------------------------------
+
+def _stepped_rollout(game, K, L, x0, R):
+    """The rollout sums by plain stepping, one batched matrix product per step
+    over every trajectory: (P, k) costs and (P, d, d) correlation sums."""
+    Acl = game.A - game.C @ L[:, None] - game.B @ K
+    W = ((game.Q - np.swapaxes(L, 1, 2) @ game.Rv @ L)[:, None]
+         + np.swapaxes(K, 2, 3) @ game.Ru @ K)
+    x = x0[..., None]
+    cost, S = np.zeros(x0.shape[:2]), np.zeros((x0.shape[0], game.d, game.d))
+    for _ in range(R):
+        cost += (np.swapaxes(x, 2, 3) @ W @ x)[..., 0, 0]
+        S += (x @ np.swapaxes(x, 2, 3)).sum(axis=1)
+        x = Acl @ x
+    return cost, S
+
+
+def _rollout_inputs(game, K, P, k, seed, r=0.05):
+    """P pairs of k perturbed gains around K, small maximizer gains and
+    initial states."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((P, k, game.m1, game.d))
+    U *= r / np.linalg.norm(U, axis=(2, 3), keepdims=True)
+    L = 0.05 * rng.standard_normal((P, game.m2, game.d))
+    return K + U, L, rng.standard_normal((P, k, game.d))
+
+
+def _slice_size(game):
+    return max(1, mf.ROLLOUT_SLICE_ENTRIES // game.d ** 2)
+
+
+def _small_game(d, m1, seed):
+    rng = np.random.default_rng([d, m1, seed])
+    A = rng.standard_normal((d, d))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    return lq.LqGame(A=A, B=rng.standard_normal((d, m1)), C=0.1 * rng.standard_normal((d, 1)),
+                     Q=np.eye(d), Ru=np.eye(m1), Rv=5.0 * np.eye(1), Sigma0=np.eye(d))
+
+
+@pytest.mark.parametrize("R", [1, 2, 7, 64, 100, 291])
+def test_rollout_kernels_match_a_stepping_reference(g1, k1_at_zero, R):
+    # one stack cut into fixed-offset slices of each pair's trajectories (k
+    # above the slice size, not a multiple of it), one cut into whole pairs
+    size = _slice_size(g1)
+    eng = mf.RolloutEngine(g1, 0)
+    for P, k in ((3, size + size // 2 + 3), (2 * size // 5 + 3, 5)):
+        K, L, x0 = _rollout_inputs(g1, k1_at_zero, P, k, [R, P])
+        want_cost, want_S = _stepped_rollout(g1, K, L, x0, R)
+        for kernel in (eng._rollout_doubling, eng._rollout_steps):
+            cost, S = kernel(K, L, x0, R)
+            assert _rel(cost, want_cost) <= 1e-12
+            assert _rel(S, want_S) <= 1e-12
+
+
+def test_rollout_pairs_are_bit_equal_alone_and_stacked():
+    game = _small_game(3, 2, 0)
+    K = lq.solve_inner_riccati(game, np.zeros((1, 3))).K
+    eng = mf.RolloutEngine(game, 0)
+    size = _slice_size(game)
+    # lone trajectories, a last slice of one trajectory, pairs cut into chunks
+    for P, k in ((4, 1), (3, size + 1), (size // 7 + 3, 7)):
+        K_, L, x0 = _rollout_inputs(game, K, P, k, [P, k])
+        for kernel in (eng._rollout_doubling, eng._rollout_steps):
+            cost, S = kernel(K_, L, x0, 64)
+            for i in (0, 1, P - 1):
+                alone = kernel(K_[i:i + 1], L[i:i + 1], x0[i:i + 1], 64)
+                assert np.array_equal(alone[0][0], cost[i])
+                assert np.array_equal(alone[1][0], S[i])
+
+
+def test_rollout_switches_to_doubling_at_its_crossover():
+    game = _small_game(4, 1, 1)
+    K = lq.solve_inner_riccati(game, np.zeros((1, 4))).K
+    eng = mf.RolloutEngine(game, 0)
+    K_, L, x0 = _rollout_inputs(game, K, 3, 50, 7)
+    switch = mf.ROLLOUT_DOUBLING_R_PER_D2 * game.d ** 2
+    for R, kernel in ((switch - 1, eng._rollout_steps), (switch, eng._rollout_doubling)):
+        cost, S = eng._rollout(K_, L, x0, R)
+        assert np.array_equal(cost, kernel(K_, L, x0, R)[0])
+        steps, doubling = eng._rollout_steps(K_, L, x0, R), eng._rollout_doubling(K_, L, x0, R)
+        assert _rel(doubling[0], steps[0]) <= 1e-12 and _rel(doubling[1], steps[1]) <= 1e-12
+
+
+# -- budgets -------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["m_zero", "R_zero", "R_float", "r_zero",
+                                  "inner_steps_negative", "T_negative", "steps_negative"])
+def test_estimator_budgets_are_checked_at_the_boundary(g1, k1_at_zero, case):
+    L = np.zeros((1, 3))
+    eng = mf.RolloutEngine(g1, 0)
+    small = lq.EstimatorConfig(m=5, R=10, r=0.02)
+    calls = {
+        "m_zero": lambda: eng.estimate_inner(k1_at_zero, L, 0, 10, 0.05),
+        "R_zero": lambda: eng.estimate_inner(k1_at_zero, L, 10, 0, 0.05),
+        "R_float": lambda: eng.estimate_inner(k1_at_zero, L, 10, 10.0, 0.05),
+        "r_zero": lambda: eng.estimate_inner(k1_at_zero, L, 10, 10, 0.0),
+        "inner_steps_negative": lambda: eng.estimate_outer(L, k1_at_zero, 5, 10, 0.02, -1,
+                                                           1e-3, lq.PG),
+        "T_negative": lambda: lq.outer_ng_modelfree(g1, L, small, -1, 1e-3, K0=k1_at_zero),
+        "steps_negative": lambda: lq.inner_ng_modelfree(g1, L, k1_at_zero, small, -1, 0.05),
+    }
+    with pytest.raises(lq.ConfigError):
+        calls[case]()
+    assert eng._stream == 0  # no stream was drawn or skipped

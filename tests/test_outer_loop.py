@@ -34,8 +34,7 @@ def test_w_matrix_definiteness_guard():
 def test_nested_gradient_matches_finite_differences(g1):
     rng = np.random.default_rng(21)
     L = rng.uniform(-0.15, 0.15, size=(1, 3))
-    res = lq.solve_inner_riccati(g1, L)
-    grad = lq.nested_gradient(g1, L, res)
+    grad = lq.solve_inner_riccati(g1, L).ev.gradL
 
     def maximin_cost(Lx):
         r = lq.solve_inner_riccati(g1, Lx)
