@@ -3,8 +3,8 @@
 AG runs a fixed number of inner K-updates per outer step, then one L-ascent
 step of the matching flavor evaluated at the resulting (K_T, L_t). GDA
 updates both gains simultaneously from one shared evaluation of (K_t, L_t).
-Neither method projects; stability is asserted at every sub-step and a
-violation aborts with the step index.
+Neither method projects. Stability is asserted at every sub-step, L-updates
+must keep L and Q - L^T Rv L finite, and a violation aborts with the step.
 
 Flavors reuse the inner-loop update arithmetic for the K-side. The L-side
 ascends along gradL (PG), 2F (NaturalPG), or 2 (Rv - C^T P C)^{-1} F
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import inner_loop, linalg, policy
+from . import inner_loop, linalg, outer_loop, policy
 from .errors import DefinitenessError, UnstableError
 from .trace import OuterTrace, trace_row
 
@@ -64,7 +64,7 @@ def _l_direction(game, ev, flavor):
         return ev.gradL
     if flavor == inner_loop.NATURAL_PG:
         return 2.0 * ev.F
-    H = game.Rv - game.C.T @ ev.P @ game.C
+    H = game.Rv - game.C.T.dot(ev.P).dot(game.C)
     H = 0.5 * (H + H.T)
     if linalg.min_eigenvalue_sym(H) <= 0.0:
         raise DefinitenessError(
@@ -106,7 +106,7 @@ def run_ag(game, pi0, cfg):
             trace.converged = True
             break
         if t < cfg.max_outer:
-            L = L + cfg.eta * D
+            L = outer_loop.ascent_step(game, t, trace, L, cfg.eta, D)
     return policy.PolicyPair(K=K, L=trace.rows[-1].L), trace
 
 
@@ -132,5 +132,5 @@ def run_gda(game, pi0, cfg):
             break
         if t < cfg.max_outer:
             K = inner_loop._step_from_eval(game, K, ev, icfg)
-            L = L + cfg.eta * D
+            L = outer_loop.ascent_step(game, t, trace, L, cfg.eta, D)
     return policy.PolicyPair(K=trace.rows[-1].K, L=trace.rows[-1].L), trace

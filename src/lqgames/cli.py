@@ -13,6 +13,7 @@ errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,6 +30,7 @@ def _u64(text):
     return v
 
 
+@functools.cache  # one parser per process, shared by every main() call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lqgames",
@@ -124,8 +126,7 @@ def cmd_run(args, table=False):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "oracle":
             return cmd_oracle(args)

@@ -26,18 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceError, DefinitenessError, DimensionError, UnstableError
+from .errors import ConvergenceError, DefinitenessError, DimensionError
 
 GARE_DEFAULT_TOL = 1e-10
 
 # sigma_min below this (relative to scale) counts as singular in block solves
 SINGULAR_TOL = 1e-12
-
-
-def _require_pd(M, name):
-    lam = linalg.min_eigenvalue_sym(M)
-    if lam <= 0.0:
-        raise ValueError(f"{name}: must be positive definite, min eigenvalue {lam:.3e}")
 
 
 @dataclass(frozen=True)
@@ -59,18 +53,14 @@ class LqGame:
             raise DimensionError(f"A must be square, got {A.shape}")
         B = linalg.as_matrix(self.B, rows=d, name="B")
         C = linalg.as_matrix(self.C, rows=d, name="C")
-        m1, m2 = B.shape[1], C.shape[1]
-        Q = linalg.symmetrize(linalg.as_matrix(self.Q, rows=d, cols=d, name="Q"), name="Q")
-        Ru = linalg.symmetrize(linalg.as_matrix(self.Ru, rows=m1, cols=m1, name="Ru"), name="Ru")
-        Rv = linalg.symmetrize(linalg.as_matrix(self.Rv, rows=m2, cols=m2, name="Rv"), name="Rv")
-        Sigma0 = linalg.symmetrize(
-            linalg.as_matrix(self.Sigma0, rows=d, cols=d, name="Sigma0"), name="Sigma0")
-        _require_pd(Q, "Q")
-        _require_pd(Ru, "Ru")
-        _require_pd(Rv, "Rv")
-        _require_pd(Sigma0, "Sigma0")
-        for field, val in (("A", A), ("B", B), ("C", C), ("Q", Q),
-                           ("Ru", Ru), ("Rv", Rv), ("Sigma0", Sigma0)):
+        checked = {"A": A, "B": B, "C": C}
+        for name, n in (("Q", d), ("Ru", B.shape[1]), ("Rv", C.shape[1]), ("Sigma0", d)):
+            M = linalg.as_matrix(getattr(self, name), rows=n, cols=n, name=name)
+            checked[name] = M = linalg.symmetrize(M, name=name)
+            lam = linalg.min_eigenvalue_sym(M)
+            if lam <= 0.0:
+                raise ValueError(f"{name}: must be positive definite, min eigenvalue {lam:.3e}")
+        for field, val in checked.items():
             val.flags.writeable = False
             object.__setattr__(self, field, val)
 
@@ -214,11 +204,7 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
         raise ConvergenceError(
             f"GARE residual {residual:.3e} above {bound:.3e} after convergence test",
             residual=residual, iterations=iterations)
-    Acl = game.A - game.B @ K - game.C @ L
-    rho = linalg.spectral_radius(Acl)
-    if rho >= 1.0 - linalg.STABILITY_MARGIN:
-        raise UnstableError(
-            f"GARE solution rejected: closed loop spectral radius {rho:.12g}", rho=rho)
+    linalg.require_stable(game.A - game.B @ K - game.C @ L, context="GARE solution")
     value = float(np.trace(P @ game.Sigma0))
     return NashSolution(Pstar=P, Kstar=K, Lstar=L, value=value,
                         iterations=iterations, residual=residual)
@@ -226,12 +212,14 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
 
 def qtilde_min(game, L):
     """lambda_min(Q - L^T Rv L), the constraint margin of the maximizer gain L."""
-    return linalg.min_eigenvalue_sym(game.Q - L.T @ game.Rv @ L)
+    S = game.Q - L.T.dot(game.Rv).dot(L)
+    return linalg.min_eigenvalue_sym(0.5 * (S + S.T))
 
 
 def check_assumptions(game, sol):
     """Margins of the two equilibrium conditions; flags are (margin > 0)."""
-    rv_margin = linalg.min_eigenvalue_sym(game.Rv - game.C.T @ sol.Pstar @ game.C)
+    S = game.Rv - game.C.T @ sol.Pstar @ game.C
+    rv_margin = linalg.min_eigenvalue_sym(0.5 * (S + S.T))
     return AssumptionReport(rv_margin=rv_margin, ql_margin=qtilde_min(game, sol.Lstar))
 
 

@@ -105,9 +105,9 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_M
     fails with UnstableError.
     """
     L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
-    Qt = game.Q - L.T @ game.Rv @ L
+    Qt = game.Q - L.T.dot(game.Rv).dot(L)
     Qt = 0.5 * (Qt + Qt.T)
-    At = game.A - game.C @ L
+    At = game.A - game.C.dot(L)
     B, Ru = game.B, game.Ru
     if P0 is not None:
         P0 = linalg.symmetrize(P0, name="P0")
@@ -115,9 +115,10 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_M
         P, iterations = linalg.solve_dare(At, B, Qt, Ru, tol, X0=P0, max_steps=max_iter)
     except ConvergenceError as e:
         _raise_inner_domain(game, L, e.iterations, e.residual, str(e))
-    K = np.linalg.solve(Ru + B.T @ P @ B, B.T @ P @ At)
+    K = np.linalg.solve(Ru + B.T.dot(P).dot(B), B.T.dot(P).dot(At))
     ev = policy.evaluate(game, policy.PolicyPair(K=K, L=L))  # raises UnstableError if unstable
-    row = trace_row(game, 0, L, float(np.trace(P @ game.Sigma0)), ev.gradK, ev.rho, K=K)
+    row = trace_row(game, 0, L, float(np.trace(P.dot(game.Sigma0))), ev.gradK, ev.rho, K=K,
+                    margin=linalg.min_eigenvalue_sym(Qt))
     return InnerResult(K=K, P=P, iterations=iterations, final_grad_norm=row.grad_norm,
                        trace=[row], ev=ev)
 
@@ -141,20 +142,18 @@ def _step_from_eval(game, K, ev, cfg):
         return pg_update(K, ev.gradK, alpha)
     if cfg.method == NATURAL_PG:
         if alpha is None:
-            alpha = 1.0 / (2.0 * np.linalg.norm(game.Ru + game.B.T @ ev.P @ game.B, 2))
+            alpha = 1.0 / (2.0 * np.linalg.norm(game.Ru + game.B.T.dot(ev.P).dot(game.B), 2))
         return natural_pg_update(K, ev.gradK, ev.Sigma, alpha)
     if cfg.method == GAUSS_NEWTON:
-        G = game.Ru + game.B.T @ ev.P @ game.B
+        G = game.Ru + game.B.T.dot(ev.P).dot(game.B)
         return K - 2.0 * alpha * np.linalg.solve(G, ev.E)
     raise ValueError(f"inner_step does not apply to method {cfg.method!r}")
 
 
 def inner_step(game, K, L, cfg):
     """Single gradient-based update of K at fixed L."""
-    K = linalg.as_matrix(K, rows=game.m1, cols=game.d, name="K")
-    L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
-    ev = policy.evaluate(game, policy.PolicyPair(K=K, L=L))
-    return _step_from_eval(game, K, ev, cfg)
+    pi = policy.PolicyPair(K=K, L=L)  # evaluate checks the shapes
+    return _step_from_eval(game, pi.K, policy.evaluate(game, pi), cfg)
 
 
 def solve_inner(game, L, K0, cfg):

@@ -1,8 +1,13 @@
 """Dense real-matrix kernels used by every other module.
 
 All routines operate on float64 numpy arrays. Symmetric outputs are
-explicitly symmetrized; asymmetric inputs beyond tolerance are rejected
-rather than silently averaged.
+explicitly symmetrized. Input is checked once, where it enters the package:
+LqGame, PolicyPair and the public solver entry points reject non-finite,
+misshapen or asymmetric arrays through as_matrix and symmetrize. The kernels
+trust the arrays the package built (symmetric ones exactly symmetric); only
+solve_dlyap checks its own. The small-d paths multiply with ndarray.dot, not
+@: it calls the same BLAS routine, so the floats are the same, at about half
+the cost for 3 x 3 operands.
 
 Both Riccati solvers (the game oracle and the inner best response) call one
 routine, solve_dare: structure-preserving doubling from zero or a warm start,
@@ -11,7 +16,8 @@ then Newton steps, each a Lyapunov solve.
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NotSymmetricError, UnstableError
+from .errors import (ConvergenceError, DefinitenessError, DimensionError, NotSymmetricError,
+                     UnstableError)
 
 SYM_TOL = 1e-12
 # Spectral radii in [1 - STABILITY_MARGIN, 1) are rejected as numerically marginal.
@@ -35,7 +41,7 @@ def as_matrix(M, rows=None, cols=None, name="matrix"):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-d array, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name}: non-finite entries")
     if rows is not None and M.shape[0] != rows:
         raise DimensionError(f"{name}: expected {rows} rows, got {M.shape[0]}")
@@ -49,27 +55,24 @@ def symmetrize(M, name="matrix"):
     M = as_matrix(M, name=name)
     if M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name}: not square {M.shape}")
-    defect = np.linalg.norm(M - M.T, "fro")
-    if defect > SYM_TOL * (1.0 + np.linalg.norm(M, "fro")):
+    D = (M - M.T).ravel()
+    defect = np.sqrt(D.dot(D))
+    if defect > SYM_TOL * (1.0 + np.sqrt(M.ravel().dot(M.ravel()))):
         raise NotSymmetricError(f"{name}: symmetry defect {defect:.3e} above tolerance")
     return 0.5 * (M + M.T)
 
 
 def spectral_radius(M):
     """max |lambda_i(M)| over the complex spectrum of a square matrix."""
-    M = as_matrix(M, name="spectral_radius input")
-    if M.shape[0] != M.shape[1]:
-        raise DimensionError(f"spectral_radius: not square {M.shape}")
     try:
         ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as e:
         raise ConvergenceError(f"eigenvalue iteration failed: {e}") from e
-    return float(np.max(np.abs(ev))) if ev.size else 0.0
+    return float(np.abs(ev).max()) if ev.size else 0.0
 
 
 def min_eigenvalue_sym(M):
-    """Smallest eigenvalue of a symmetric matrix."""
-    M = symmetrize(M, name="min_eigenvalue_sym input")
+    """Smallest eigenvalue of an exactly symmetric matrix."""
     return float(np.linalg.eigvalsh(M)[0])
 
 
@@ -105,7 +108,7 @@ def _dlyap_transpose_doubling(Acl, W):
     for _ in range(DOUBLING_MAX_STEPS):
         X = X + Ak.T @ X @ Ak
         Ak = Ak @ Ak
-        tail = float(np.sum(Ak * Ak))
+        tail = float((Ak * Ak).sum())
         if tail <= DOUBLING_TOL:
             return 0.5 * (X + X.T)
     raise ConvergenceError(
@@ -114,27 +117,22 @@ def _dlyap_transpose_doubling(Acl, W):
         residual=tail, iterations=DOUBLING_MAX_STEPS)
 
 
-def solve_dlyap_transpose(Acl, W, checked=True):
-    """Solve X = Acl^T X Acl + W for stable Acl and symmetric W.
+def solve_dlyap_transpose(Acl, W):
+    """Solve X = Acl^T X Acl + W for stable Acl and exactly symmetric W.
 
-    Kronecker for d <= 8, Smith doubling above. checked=False skips the input
-    checks, stability included, for a caller that has already established
-    them (policy.evaluate tests stability once for both of its solves).
+    Kronecker for d <= 8, Smith doubling above. Checks nothing, stability
+    included: policy.evaluate tests stability once for both of its solves.
     """
-    if checked:
-        Acl = as_matrix(Acl, name="Acl")
-        W = symmetrize(W, name="W")
-        if Acl.shape[0] != W.shape[0]:
-            raise DimensionError(f"Acl {Acl.shape} vs W {W.shape}")
-        require_stable(Acl, context="solve_dlyap_transpose")
     if Acl.shape[0] <= DLYAP_DIRECT_MAX_DIM:
         return _dlyap_transpose_direct(Acl, W)
     return _dlyap_transpose_doubling(Acl, W)
 
 
 def solve_dlyap(Acl, W):
-    """Solve X = Acl X Acl^T + W (the state-correlation orientation)."""
-    return solve_dlyap_transpose(as_matrix(Acl, name="Acl").T, W)
+    """Solve X = Acl X Acl^T + W for stable Acl and symmetric W, both checked."""
+    Acl = as_matrix(Acl, name="Acl")
+    require_stable(Acl, context="solve_dlyap")
+    return solve_dlyap_transpose(Acl.T, symmetrize(W, name="W"))
 
 
 def riccati_doubling(A, G, H):
@@ -164,8 +162,8 @@ def riccati_doubling(A, G, H):
         G = 0.5 * (G + G.T)
         H = 0.5 * (H + H.T)
         with np.errstate(over="ignore"):  # an overflow is caught just below
-            tail = float(np.sum(A * A))
-        if not (np.isfinite(tail) and np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
+            tail = float((A * A).sum())
+        if not (np.isfinite(tail) and np.isfinite(H).all() and np.isfinite(G).all()):
             raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",
                                    residual=tail, iterations=k)
         if tail <= DOUBLING_TOL:
@@ -178,7 +176,7 @@ def riccati_doubling(A, G, H):
 def _inertia(M):
     """(positive, negative) eigenvalue counts of a symmetric matrix."""
     ev = np.linalg.eigvalsh(M)
-    return int(np.sum(ev > 0.0)), int(np.sum(ev < 0.0))
+    return np.count_nonzero(ev > 0.0), np.count_nonzero(ev < 0.0)
 
 
 def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS):
@@ -208,17 +206,17 @@ def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS):
     floor = np.sqrt(np.finfo(float).eps)
     step = np.inf
     for k in range(1, max_steps + 1):
-        BtX = B.T @ X
-        M = R + BtX @ B
+        BtX = B.T.dot(X)
+        M = R + BtX.dot(B)
         M = 0.5 * (M + M.T)
         if _inertia(M) != inertia:
             raise ConvergenceError(
                 f"solve_dare: R + B^T X B lost the inertia of R before Newton step {k}",
                 residual=step, iterations=doublings + k - 1)
-        K = np.linalg.solve(M, BtX @ A)
-        W = H + K.T @ R @ K
+        K = np.linalg.solve(M, BtX.dot(A))
+        W = H + K.T.dot(R).dot(K)
         try:
-            Xn = solve_dlyap_transpose(A - B @ K, 0.5 * (W + W.T), checked=False)
+            Xn = solve_dlyap_transpose(A - B.dot(K), 0.5 * (W + W.T))
         except np.linalg.LinAlgError as e:
             raise ConvergenceError(f"solve_dare: singular Lyapunov system at Newton step {k}",
                                    residual=step, iterations=doublings + k) from e
@@ -236,17 +234,15 @@ def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS):
 
 def svd(M):
     """Thin SVD returning (U, s, V) with M ~= U @ diag(s) @ V.T."""
-    M = as_matrix(M, name="svd input")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     return U, s, Vt.T
 
 
 def sym_sqrt_and_inv_sqrt(M, name="matrix"):
-    """Square root and inverse square root of a symmetric PD matrix."""
-    M = symmetrize(M, name=name)
+    """Square root and inverse square root of an exactly symmetric PD matrix."""
     evals, vecs = np.linalg.eigh(M)
     if evals[0] <= 0.0:
-        raise ValueError(f"{name}: not positive definite (min eig {evals[0]:.3e})")
+        raise DefinitenessError(f"{name} is not positive definite (min eig {evals[0]:.3e})")
     root = np.sqrt(evals)
     S = (vecs * root) @ vecs.T
     Sinv = (vecs / root) @ vecs.T

@@ -25,12 +25,12 @@ for their dimension, R < ROLLOUT_DOUBLING_R_PER_D2 * d^2, the kernel steps R
 times instead. estimate_inner is the one-pair case; the lock-step inner
 solves and the outer estimate's own rollouts (one trajectory per pair) are
 the others. Budgets (m, R, r and the step counts) are checked once, where
-they enter: estimate_inner, estimate_outer, inner_ng_modelfree and
-outer_ng_modelfree raise ConfigError for bad ones.
+they enter: EstimatorConfig, estimate_inner, estimate_outer,
+inner_ng_modelfree and outer_ng_modelfree raise ConfigError for bad ones.
 
-Randomness is counter-based: every draw comes from a Philox generator keyed
-by (seed, stream index), with one stream per logical draw block. Results are
-bit-reproducible for a fixed seed no matter how trajectories are scheduled,
+Randomness is counter-based: every draw comes from the engine's Philox
+generator re-keyed to (seed, stream index), one stream per draw block. Results
+are bit-reproducible for a fixed seed no matter how trajectories are scheduled,
 and per-trajectory values are row slices of one vectorized draw.
 
 The outer estimate runs in lock-step. Its stream order is that of the
@@ -117,10 +117,7 @@ class EstimatorConfig:
     x0_dist: str = X0_GAUSSIAN
 
     def __post_init__(self):
-        if self.m < 1 or self.R < 1:
-            raise ValueError("m and R must be >= 1")
-        if self.r <= 0.0:
-            raise ValueError("r must be positive")
+        _check_budget(self.m, self.R, self.r)
         if self.x0_dist not in (X0_GAUSSIAN, X0_CUBE):
             raise ValueError(f"unknown x0_dist {self.x0_dist!r}")
 
@@ -133,11 +130,6 @@ class GradEstimate:
     cost_std: float
     m: int
     rho_max: float
-
-
-def _generator(seed, stream):
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _sphere(gen, m, rows, cols, radius):
@@ -330,6 +322,9 @@ class RolloutEngine:
         self.seed = int(seed)
         self.x0_dist = x0_dist
         self._stream = 0
+        self._philox = np.random.Philox(key=0)
+        self._fresh_state = self._philox.state  # counter 0 and an empty buffer
+        self._gen = np.random.Generator(self._philox)
         self._chol = np.linalg.cholesky(game.Sigma0)
         if x0_dist == X0_CUBE:
             off_diag = game.Sigma0 - np.diag(np.diag(game.Sigma0))
@@ -337,8 +332,16 @@ class RolloutEngine:
                 raise ConfigError("cube initial-state sampling requires a diagonal Sigma0")
             self._half_width = np.sqrt(3.0 * np.diag(game.Sigma0))
 
+    def _generator(self, stream):
+        """The engine's generator, re-keyed to draw what Generator(Philox(key=
+        (seed, stream))) would; consume it before the next stream is keyed."""
+        self._fresh_state["state"]["key"] = np.array(
+            [self.seed & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+        self._philox.state = self._fresh_state  # the setter copies
+        return self._gen
+
     def _next_gen(self):
-        gen = _generator(self.seed, self._stream)
+        gen = self._generator(self._stream)
         self._stream += 1
         return gen
 
@@ -542,7 +545,7 @@ class RolloutEngine:
         K = np.broadcast_to(K_warm, (n, g.m1, g.d)).copy()
         error = None
         for j in range(steps):
-            U = np.stack([_sphere(_generator(self.seed, s + 2 * j), k, g.m1, g.d, r)
+            U = np.stack([_sphere(self._generator(s + 2 * j), k, g.m1, g.d, r)
                           for s in streams[:n]])
             screen = _Screen(self._closed_loops(K[:n, None] + U, Ls[:n]))
             failed = np.flatnonzero(~screen.stable.all(axis=1))
@@ -552,7 +555,7 @@ class RolloutEngine:
                 if n == 0:
                     break
                 U = U[:n]
-            x0 = np.stack([self._x0(_generator(self.seed, s + 2 * j + 1), k)
+            x0 = np.stack([self._x0(self._generator(s + 2 * j + 1), k)
                            for s in streams[:n]])
             grad, Sigma, _ = self._estimates(K[:n], Ls[:n], U, x0, R, r)
             K[:n] = _inner_update(K[:n], grad, Sigma, alpha, flavor)

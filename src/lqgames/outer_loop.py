@@ -44,19 +44,20 @@ INTERIOR_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class OmegaSet:
-    """Omega = {L : Q - L^T Rv L >= zeta I}, stored as zeta and M = Q - zeta I."""
+    """Omega = {L : Q - L^T Rv L >= zeta I} as zeta, M = Q - zeta I and M's square roots."""
 
     zeta: float
     M: np.ndarray
+    roots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.zeta <= 0.0:
             raise ValueError("zeta must be positive")
         M = linalg.symmetrize(self.M, name="M")
-        if linalg.min_eigenvalue_sym(M) <= 0.0:
-            raise DefinitenessError("Q - zeta*I must be positive definite; zeta too large")
+        roots = linalg.sym_sqrt_and_inv_sqrt(M, name="Q - zeta*I (zeta too large?)")
         M.setflags(write=False)
         object.__setattr__(self, "M", M)
+        object.__setattr__(self, "roots", roots)
 
     @classmethod
     def for_game(cls, game, zeta=None, nash=None):
@@ -79,7 +80,7 @@ class OmegaSet:
 
     def margin(self, L, game):
         """min eigenvalue of Q - L^T Rv L - zeta I; >= 0 means L is feasible."""
-        S = self.M - L.T @ game.Rv @ L
+        S = self.M - L.T.dot(game.Rv).dot(L)
         return linalg.min_eigenvalue_sym(0.5 * (S + S.T))
 
 
@@ -107,12 +108,11 @@ class OuterConfig:
 
 
 def w_matrix(game, P, require_pd=True):
-    """W = Rv - C^T [P - P B (Ru + B^T P B)^{-1} B^T P] C for PSD P."""
-    P = linalg.symmetrize(P, name="P")
-    BtP = game.B.T @ P
-    G = game.Ru + BtP @ game.B
-    inner = P - BtP.T @ np.linalg.solve(G, BtP)
-    W = game.Rv - game.C.T @ inner @ game.C
+    """W = Rv - C^T [P - P B (Ru + B^T P B)^{-1} B^T P] C for symmetric PSD P."""
+    BtP = game.B.T.dot(P)
+    G = game.Ru + BtP.dot(game.B)
+    inner = P - BtP.T.dot(np.linalg.solve(G, BtP))
+    W = game.Rv - game.C.T.dot(inner).dot(game.C)
     W = 0.5 * (W + W.T)
     if require_pd and linalg.min_eigenvalue_sym(W) <= 0.0:
         raise DefinitenessError(
@@ -131,7 +131,7 @@ def project_omega(L, omega, game):
     if omega.margin(L, game) >= -INTERIOR_SLACK:
         return L
     rv_h, rv_ih = linalg.sym_sqrt_and_inv_sqrt(game.Rv)
-    m_h, m_ih = linalg.sym_sqrt_and_inv_sqrt(omega.M)
+    m_h, m_ih = omega.roots
     U, s, V = linalg.svd(rv_h @ L @ m_ih)
     s = np.minimum(s, 1.0)
     return rv_ih @ (U * s) @ V.T @ m_h
@@ -177,11 +177,25 @@ def _projection_set(cfg, omega):
 
 def outer_step(game, L, inner_res, cfg, omega=None):
     """One projected outer update of L from a valid inner result at L."""
-    L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
-    ev = policy.evaluate(game, policy.PolicyPair(K=inner_res.K, L=L))
-    Lp, mapping, _ = projected_step(game, L, *_direction(game, ev, cfg),
+    pi = policy.PolicyPair(K=inner_res.K, L=L)  # evaluate checks the shapes
+    Lp, mapping, _ = projected_step(game, pi.L, *_direction(game, policy.evaluate(game, pi), cfg),
                                     _projection_set(cfg, omega))
     return Lp, mapping
+
+
+def ascent_step(game, t, trace, L, eta, D):
+    """L + eta D at outer step t. When it or Q - L^T Rv L is not finite, raises
+    ConvergenceError carrying the partial trace, without overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Lp = L + eta * D
+        # a non-finite entry of Lp makes a diagonal entry of Lp^T Rv Lp non-finite
+        finite = np.isfinite(Lp.T.dot(game.Rv).dot(Lp)).all()
+    if not finite:
+        e = ConvergenceError(f"outer step {t} diverged: L + eta D or Q - L^T Rv L is not "
+                             "finite; the stepsize is likely too large", iterations=t)
+        e.trace = trace  # partial progress travels with the failure
+        raise e
+    return Lp
 
 
 def _solve_inner_warm(game, L, prev, cfg_inner):
@@ -230,10 +244,13 @@ def solve_nested(game, L0, cfg, omega=None):
             e.trace = trace  # partial progress travels with the failure
             raise
         ev = inner_res.ev
-        Lp, mapping, proj_active = projected_step(game, L, *_direction(game, ev, cfg), omega)
+        D, eta = _direction(game, ev, cfg)
+        ascent_step(game, t, trace, L, eta, D)  # projected_step takes the same step
+        Lp, mapping, proj_active = projected_step(game, L, D, eta, omega)
         map_norm = float(np.linalg.norm(mapping, "fro"))
         trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho, grad_map_norm=map_norm,
-                               proj_active=proj_active, K=inner_res.K))
+                               proj_active=proj_active, K=inner_res.K,
+                               margin=inner_res.trace[-1].lambda_min_qtilde))  # at this L
         if map_norm <= cfg.tol:
             trace.converged = True
             break

@@ -32,9 +32,8 @@ class PolicyPair:
     L: np.ndarray
 
     def __post_init__(self):
-        K = linalg.as_matrix(self.K, name="K")
-        L = linalg.as_matrix(self.L, name="L")
-        for field, val in (("K", K), ("L", L)):
+        for field in ("K", "L"):
+            val = linalg.as_matrix(getattr(self, field), name=field)
             val.flags.writeable = False
             object.__setattr__(self, field, val)
 
@@ -58,12 +57,12 @@ class PolicyEval:
 
 
 def closed_loop(game, pi):
-    return game.A - game.B @ pi.K - game.C @ pi.L
+    return game.A - game.B.dot(pi.K) - game.C.dot(pi.L)
 
 
 def stage_weight(game, pi):
     """Q + K^T Ru K - L^T Rv L (may be indefinite for large L)."""
-    W = game.Q + pi.K.T @ game.Ru @ pi.K - pi.L.T @ game.Rv @ pi.L
+    W = game.Q + pi.K.T.dot(game.Ru).dot(pi.K) - pi.L.T.dot(game.Rv).dot(pi.L)
     return 0.5 * (W + W.T)
 
 
@@ -72,15 +71,15 @@ def evaluate(game, pi):
     pi.check_dims(game)
     Acl = closed_loop(game, pi)
     rho = linalg.require_stable(Acl, context="evaluate")
-    # Acl is stable and both weights exactly symmetric, so the unchecked solves
-    # give the same floats as the checked ones
-    P = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi), checked=False)
-    Sigma = linalg.solve_dlyap_transpose(Acl.T, game.Sigma0, checked=False)
-    cost = float(np.trace(P @ game.Sigma0))
-    E = (game.Ru + game.B.T @ P @ game.B) @ pi.K - game.B.T @ P @ (game.A - game.C @ pi.L)
-    F = (-game.Rv + game.C.T @ P @ game.C) @ pi.L - game.C.T @ P @ (game.A - game.B @ pi.K)
+    # Acl is stable and both weights exactly symmetric, as the solves require
+    P = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi))
+    Sigma = linalg.solve_dlyap_transpose(Acl.T, game.Sigma0)
+    cost = float(np.trace(P.dot(game.Sigma0)))
+    BtP, CtP = game.B.T.dot(P), game.C.T.dot(P)
+    E = (game.Ru + BtP.dot(game.B)).dot(pi.K) - BtP.dot(game.A - game.C.dot(pi.L))
+    F = (-game.Rv + CtP.dot(game.C)).dot(pi.L) - CtP.dot(game.A - game.B.dot(pi.K))
     return PolicyEval(P=P, Sigma=Sigma, cost=cost,
-                      gradK=2.0 * E @ Sigma, gradL=2.0 * F @ Sigma,
+                      gradK=(2.0 * E).dot(Sigma), gradL=(2.0 * F).dot(Sigma),
                       E=E, F=F, rho=rho)
 
 

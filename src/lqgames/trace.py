@@ -73,9 +73,6 @@ class OuterTrace:
     def append(self, row):
         self.rows.append(row)
 
-    def costs(self):
-        return [r.cost for r in self.rows]
-
     def map_norms(self):
         return [r.grad_map_norm for r in self.rows]
 

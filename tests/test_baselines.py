@@ -1,5 +1,7 @@
 """Alternating-gradient and descent-ascent comparison methods."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,19 @@ def test_gauss_newton_flavor_requires_definite_block():
     cfg = lq.BaselineConfig(family=lq.GDA, flavor=lq.GAUSS_NEWTON, eta=0.1, tol=1e-6)
     with pytest.raises(lq.DefinitenessError):
         lq.run_gda(g, pi0, cfg)
+
+
+@pytest.mark.parametrize("family", [lq.AG, lq.GDA])
+def test_diverging_l_update_is_a_typed_error(g1, family):
+    # eta = 1e300 takes L0 = 0 to about 1e298, where L^T Rv L overflows
+    cfg = lq.BaselineConfig(family=family, flavor=lq.NATURAL_PG, eta=1e300)
+    run = lq.run_ag if family == lq.AG else lq.run_gda
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
+        with pytest.raises(lq.ConvergenceError, match="outer step 0 diverged") as exc:
+            run(g1, stabilizing_start(g1), cfg)
+    assert exc.value.iterations == 0
+    assert [r.t for r in exc.value.trace.rows] == [0]  # the row of the step that diverged
 
 
 def test_baseline_config_validation():

@@ -337,6 +337,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["compare", "--config", bad]) == 2
 
 
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_compare_prints_table(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json",
                         {"game": "case2", "solvers": [NESTED_GN, GDA_NONMONO]})

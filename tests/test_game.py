@@ -169,6 +169,24 @@ def test_validation_rejects_bad_input():
                   Q=-np.eye(2), Ru=np.eye(2), Rv=np.eye(2), Sigma0=np.eye(2))
 
 
+@pytest.mark.parametrize("case", ["nan_gain", "L0_shape", "P0_asymmetric", "Q_not_pd"])
+def test_public_boundaries_reject_bad_input(g1, case):
+    # the kernels behind these entry points no longer check their arrays
+    L = np.zeros((1, 3))
+    calls = {
+        "nan_gain": (ValueError, lambda: lq.PolicyPair(K=[[np.nan, 0.0, 0.0]], L=L)),
+        "L0_shape": (lq.DimensionError,
+                     lambda: lq.solve_nested(g1, np.zeros((2, 3)), lq.OuterConfig())),
+        "P0_asymmetric": (lq.NotSymmetricError,
+                          lambda: lq.solve_inner_riccati(g1, L, P0=np.triu(np.ones((3, 3))))),
+        "Q_not_pd": (ValueError, lambda: lq.LqGame(A=g1.A, B=g1.B, C=g1.C, Q=-np.eye(3),
+                                                   Ru=g1.Ru, Rv=g1.Rv, Sigma0=g1.Sigma0)),
+    }
+    error, call = calls[case]
+    with pytest.raises(error):
+        call()
+
+
 def test_open_loop_case1_is_unstable(g1):
     # the drift alone is unstable; stabilizing starts must come from a solve
     assert np.max(np.abs(np.linalg.eigvals(g1.A))) > 1.0

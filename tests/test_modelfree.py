@@ -25,7 +25,12 @@ def test_sphere_batches_are_unbiased(g1):
     assert u0.shape == (10, 2, 3)
     assert np.max(np.abs(np.linalg.norm(u0, axis=(1, 2)) - 0.7)) <= 1e-12
     assert np.array_equal(u0, second.draw_perturbations(10, 2, 3, 0.7))
-    assert not np.array_equal(u0, first.draw_perturbations(10, 2, 3, 0.7))
+    u1 = first.draw_perturbations(10, 2, 3, 0.7)
+    assert not np.array_equal(u0, u1)
+    # the engine re-keys one generator per stream: stream 1 draws what a new
+    # Philox keyed (seed, 1) draws, whatever stream 0 left in the buffer
+    fresh = np.random.Generator(np.random.Philox(key=np.array([4, 1], dtype=np.uint64)))
+    assert np.array_equal(u1, mf._sphere(fresh, 10, 2, 3, 0.7))
     assert not np.array_equal(u0, mf.RolloutEngine(g1, 5).draw_perturbations(10, 2, 3, 0.7))
 
 
@@ -537,7 +542,8 @@ def test_rollout_switches_to_doubling_at_its_crossover():
 # -- budgets -------------------------------------------------------------------
 
 @pytest.mark.parametrize("case", ["m_zero", "R_zero", "R_float", "r_zero",
-                                  "inner_steps_negative", "T_negative", "steps_negative"])
+                                  "inner_steps_negative", "T_negative", "steps_negative",
+                                  "config_m_zero", "config_R_float", "config_r_zero"])
 def test_estimator_budgets_are_checked_at_the_boundary(g1, k1_at_zero, case):
     L = np.zeros((1, 3))
     eng = mf.RolloutEngine(g1, 0)
@@ -551,6 +557,9 @@ def test_estimator_budgets_are_checked_at_the_boundary(g1, k1_at_zero, case):
                                                            1e-3, lq.PG),
         "T_negative": lambda: lq.outer_ng_modelfree(g1, L, small, -1, 1e-3, K0=k1_at_zero),
         "steps_negative": lambda: lq.inner_ng_modelfree(g1, L, k1_at_zero, small, -1, 0.05),
+        "config_m_zero": lambda: lq.EstimatorConfig(m=0),
+        "config_R_float": lambda: lq.EstimatorConfig(R=10.0),
+        "config_r_zero": lambda: lq.EstimatorConfig(r=0.0),
     }
     with pytest.raises(lq.ConfigError):
         calls[case]()

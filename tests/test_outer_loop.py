@@ -1,5 +1,7 @@
 """Outer maximizer loop: directions, projection, and nested convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,6 +188,19 @@ def test_nested_attaches_partial_trace_on_inner_failure(g1):
     with pytest.raises(lq.ConvergenceError) as exc:
         lq.solve_nested(g1, np.zeros((1, 3)), cfg)
     assert hasattr(exc.value, "trace")
+
+
+@pytest.mark.parametrize("projection", [lq.PROJECTION_OFF, lq.PROJECTION_WHITENED_SV_CLIP])
+def test_nested_diverging_step_is_a_typed_error(g1, nash1, projection):
+    # eta = 1e300 takes L0 = 0 to about 1e298, where L^T Rv L overflows
+    cfg = lq.OuterConfig(variant=lq.NG, eta=1e300, projection=projection)
+    omega = lq.OmegaSet.for_game(g1, nash=nash1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
+        with pytest.raises(lq.ConvergenceError, match="outer step 0 diverged") as exc:
+            lq.solve_nested(g1, np.zeros((1, 3)), cfg, omega)
+    assert exc.value.iterations == 0
+    assert isinstance(exc.value.trace, lq.OuterTrace) and exc.value.trace.rows == []
 
 
 def test_failed_riccati_warm_start_falls_back_to_a_cold_solve(g1):
