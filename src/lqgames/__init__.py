@@ -18,17 +18,15 @@ from .errors import (ConfigError, ConvergenceError, DefinitenessError,
 from .game import (AssumptionReport, LqGame, NashSolution, case1, case2,
                    check_assumptions, solve_gare)
 from .inner_loop import (GAUSS_NEWTON, NATURAL_PG, PG, RICCATI, InnerConfig,
-                         InnerResult, inner_step, solve_inner,
-                         solve_inner_riccati)
+                         InnerResult, solve_inner, solve_inner_riccati)
 from .modelfree import (EstimatorConfig, GradEstimate, RolloutEngine,
                         estimate_grad_sigma, inner_ng_modelfree,
-                        outer_ng_modelfree, rollout_length_for)
+                        outer_ng_modelfree)
 from .outer_loop import (GAUSS_NEWTON_NG, NATURAL_NG, NG, PROJECTION_OFF,
                          PROJECTION_WHITENED_SV_CLIP, OmegaSet,
-                         OuterConfig, outer_step,
-                         project_omega, solve_nested, w_matrix)
+                         OuterConfig, project_omega, solve_nested, w_matrix)
 from .policy import (PolicyEval, PolicyPair, StationarityReport,
-                     check_stationary, cost_finite_horizon, evaluate)
+                     check_stationary, evaluate)
 from .trace import OuterTrace, TraceRow, fit_log_slope
 
 __version__ = "0.1.0"
@@ -40,15 +38,13 @@ __all__ = [
     "AssumptionReport", "LqGame", "NashSolution", "case1", "case2",
     "check_assumptions", "solve_gare",
     "GAUSS_NEWTON", "NATURAL_PG", "PG", "RICCATI", "InnerConfig",
-    "InnerResult", "inner_step", "solve_inner", "solve_inner_riccati",
+    "InnerResult", "solve_inner", "solve_inner_riccati",
     "EstimatorConfig", "GradEstimate", "RolloutEngine", "estimate_grad_sigma",
-    "inner_ng_modelfree", "outer_ng_modelfree", "rollout_length_for",
+    "inner_ng_modelfree", "outer_ng_modelfree",
     "GAUSS_NEWTON_NG", "NATURAL_NG", "NG", "OmegaSet", "OuterConfig",
     "PROJECTION_OFF", "PROJECTION_WHITENED_SV_CLIP",
-    "outer_step", "project_omega", "solve_nested",
-    "w_matrix",
-    "PolicyEval", "PolicyPair", "StationarityReport", "check_stationary",
-    "cost_finite_horizon", "evaluate",
+    "project_omega", "solve_nested", "w_matrix",
+    "PolicyEval", "PolicyPair", "StationarityReport", "check_stationary", "evaluate",
     "OuterTrace", "TraceRow", "fit_log_slope",
     "__version__",
 ]

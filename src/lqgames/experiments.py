@@ -1,12 +1,12 @@
 """Experiment runner behind the CLI: load a config, run the selected solvers
 against the GARE oracle, and write per-solver artifacts.
 
-Each solver produces four files in the output directory: <name>.csv (the
+Each solver produces five files in the output directory: <name>.csv (the
 iteration trace), <name>.json (the run summary, including the oracle gap),
-and three SVG plots rendered purely from those two artifacts: cost vs t with
-the oracle value as a horizontal rule, gradient-mapping norm vs t on a log
-scale, and the constraint margin min-eig(Q - L^T Rv L) vs t. An experiment-
-level summary.json aggregates the per-solver summaries.
+and three SVG plots of the same trace and summary, rendered from memory:
+cost vs t with the oracle value as a horizontal rule, gradient-mapping norm
+vs t on a log scale, and the constraint margin min-eig(Q - L^T Rv L) vs t.
+An experiment-level summary.json aggregates the per-solver summaries.
 
 Reruns with the same config and seeds are byte-identical: no timestamps or
 timing data reach the artifacts, float formatting is repr-based, and every
@@ -294,11 +294,8 @@ def run_solver(game, spec, omega, seed):
     return _run_modelfree_outer(game, spec, omega, seed)
 
 
-def _write_plots(out_dir, name):
-    """Render the three standard plots from the CSV + JSON already on disk."""
-    trace = OuterTrace.read_csv(os.path.join(out_dir, f"{name}.csv"))
-    with open(os.path.join(out_dir, f"{name}.json")) as fh:
-        summary = json.load(fh)
+def _write_plots(out_dir, name, trace, summary):
+    """Render the three standard plots of a trace and its summary dict."""
     ts = [r.t for r in trace.rows]
     oracle_value = summary.get("oracle_value")
     svgplot.line_plot(
@@ -342,10 +339,9 @@ def run_experiment(cfg, out_dir=None, seed=None):
             trace.meta.setdefault("zeta", float(omega.zeta))
             trace.meta.setdefault("nu", nu)
             trace.write_csv(os.path.join(out_dir, f"{name}.csv"))
-            trace.write_summary(os.path.join(out_dir, f"{name}.json"),
-                                oracle_value=nash.value)
-            _write_plots(out_dir, name)
-            solvers[name] = trace.summary(oracle_value=nash.value)
+            solvers[name] = trace.write_summary(os.path.join(out_dir, f"{name}.json"),
+                                                oracle_value=nash.value)
+            _write_plots(out_dir, name, trace, solvers[name])
         except (LqGamesError, np.linalg.LinAlgError, ValueError) as e:
             solvers[name] = {"error": f"{type(e).__name__}: {e}", "converged": False}
             partial = getattr(e, "trace", None)

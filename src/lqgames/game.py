@@ -61,6 +61,8 @@ class LqGame:
             if lam <= 0.0:
                 raise ValueError(f"{name}: must be positive definite, min eigenvalue {lam:.3e}")
         for field, val in checked.items():
+            if val is getattr(self, field):
+                val = val.copy()  # freeze a copy, not the caller's array
             val.flags.writeable = False
             object.__setattr__(self, field, val)
 

@@ -136,7 +136,8 @@ def _raise_inner_domain(game, L, iteration, residual, reason):
 
 
 def _step_from_eval(game, K, ev, cfg):
-    """One K-update from an existing evaluation at (K, L)."""
+    """One PG, NaturalPG or GaussNewton update of K from the exact
+    evaluation ev at (K, L)."""
     alpha = cfg.alpha if cfg.alpha is not None else DEFAULT_ALPHA[cfg.method]
     if cfg.method == PG:
         return pg_update(K, ev.gradK, alpha)
@@ -144,20 +145,13 @@ def _step_from_eval(game, K, ev, cfg):
         if alpha is None:
             alpha = 1.0 / (2.0 * np.linalg.norm(game.Ru + game.B.T.dot(ev.P).dot(game.B), 2))
         return natural_pg_update(K, ev.gradK, ev.Sigma, alpha)
-    if cfg.method == GAUSS_NEWTON:
-        G = game.Ru + game.B.T.dot(ev.P).dot(game.B)
-        return K - 2.0 * alpha * np.linalg.solve(G, ev.E)
-    raise ValueError(f"inner_step does not apply to method {cfg.method!r}")
-
-
-def inner_step(game, K, L, cfg):
-    """Single gradient-based update of K at fixed L."""
-    pi = policy.PolicyPair(K=K, L=L)  # evaluate checks the shapes
-    return _step_from_eval(game, pi.K, policy.evaluate(game, pi), cfg)
+    G = game.Ru + game.B.T.dot(ev.P).dot(game.B)
+    return K - 2.0 * alpha * np.linalg.solve(G, ev.E)
 
 
 def solve_inner(game, L, K0, cfg):
-    """Iterate inner_step until ||gradK||_F <= cfg.tol.
+    """Take cfg.method's gradient steps on K until ||gradK||_F <= cfg.tol;
+    the Riccati method solves directly.
 
     Every iterate must stay stabilizing; losing stability aborts with the
     iteration index (the usual cause is a too-large stepsize).

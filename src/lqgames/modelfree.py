@@ -75,9 +75,6 @@ from .trace import OuterTrace, trace_row
 
 _MASK64 = (1 << 64) - 1
 
-X0_GAUSSIAN = "gaussian"
-X0_CUBE = "cube"
-
 # Most inner trajectories the lock-step outer estimate keeps live at once, as
 # many as one estimate_inner call at m = 5e4; outer samples run in blocks of
 # max(1, LOCKSTEP_TRAJECTORIES // m).
@@ -114,12 +111,9 @@ class EstimatorConfig:
     R: int = 100
     r: float = 0.05
     seed: int = 0
-    x0_dist: str = X0_GAUSSIAN
 
     def __post_init__(self):
         _check_budget(self.m, self.R, self.r)
-        if self.x0_dist not in (X0_GAUSSIAN, X0_CUBE):
-            raise ValueError(f"unknown x0_dist {self.x0_dist!r}")
 
 
 @dataclass
@@ -303,13 +297,6 @@ def _check_inner_method(flavor, alpha):
         raise ValueError("alpha must be an explicit positive stepsize")
 
 
-def rollout_length_for(rho, decay=1e-10):
-    """Smallest R with rho^R <= decay, for truncation-bias control."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
-    return max(1, math.ceil(math.log(decay) / math.log(rho)))
-
-
 class RolloutEngine:
     """Deterministic seeded simulator bound to one game.
 
@@ -317,20 +304,14 @@ class RolloutEngine:
     seed always produces the same sequence of estimates.
     """
 
-    def __init__(self, game, seed, x0_dist=X0_GAUSSIAN):
+    def __init__(self, game, seed):
         self.game = game
         self.seed = int(seed)
-        self.x0_dist = x0_dist
         self._stream = 0
         self._philox = np.random.Philox(key=0)
         self._fresh_state = self._philox.state  # counter 0 and an empty buffer
         self._gen = np.random.Generator(self._philox)
         self._chol = np.linalg.cholesky(game.Sigma0)
-        if x0_dist == X0_CUBE:
-            off_diag = game.Sigma0 - np.diag(np.diag(game.Sigma0))
-            if np.any(off_diag != 0.0):
-                raise ConfigError("cube initial-state sampling requires a diagonal Sigma0")
-            self._half_width = np.sqrt(3.0 * np.diag(game.Sigma0))
 
     def _generator(self, stream):
         """The engine's generator, re-keyed to draw what Generator(Philox(key=
@@ -346,8 +327,7 @@ class RolloutEngine:
         return gen
 
     def _x0(self, gen, m):
-        if self.x0_dist == X0_CUBE:
-            return gen.uniform(-1.0, 1.0, size=(m, self.game.d)) * self._half_width
+        """m Gaussian initial states with covariance Sigma0, as an (m, d) array."""
         return gen.standard_normal((m, self.game.d)) @ self._chol.T
 
     def draw_perturbations(self, m, rows, cols, radius):
@@ -564,8 +544,7 @@ class RolloutEngine:
 
 def estimate_grad_sigma(game, K, L, cfg):
     """One-shot (gradK_hat, Sigma_hat) at (K, L) under cfg's budget and seed."""
-    est = RolloutEngine(game, cfg.seed, cfg.x0_dist).estimate_inner(
-        K, L, cfg.m, cfg.R, cfg.r)
+    est = RolloutEngine(game, cfg.seed).estimate_inner(K, L, cfg.m, cfg.R, cfg.r)
     return est.grad, est.Sigma
 
 
@@ -585,7 +564,7 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     _check_budget(cfg.m, cfg.R, cfg.r, steps=steps)
     _check_inner_method(flavor, alpha)
     if estimator is None:
-        engine = RolloutEngine(game, cfg.seed, cfg.x0_dist)
+        engine = RolloutEngine(game, cfg.seed)
         estimator = lambda K_, L_: engine.estimate_inner(K_, L_, cfg.m, cfg.R, cfg.r)
     K = np.array(K0, dtype=float)
     L = np.asarray(L, dtype=float)
@@ -624,7 +603,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
         raise ValueError("eta must be an explicit positive stepsize")
     L = np.array(L0, dtype=float)
     if estimator is None:
-        engine = RolloutEngine(game, cfg.seed, cfg.x0_dist)
+        engine = RolloutEngine(game, cfg.seed)
         if K0 is None:
             K0 = inner_loop.solve_inner_riccati(game, L).K
         warm = [K0]
@@ -646,6 +625,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
             D = est.grad
         else:
             D = np.linalg.solve(est.Sigma, est.grad.T).T
+        outer_loop.ascent_step(game, t, trace, L, eta, D)  # projected_step takes the same step
         Lp, mapping, proj_active = outer_loop.projected_step(game, L, D, eta, omega)
         trace.append(trace_row(game, t, L, est.cost_mean, est.grad, est.rho_max,
                                grad_map_norm=float(np.linalg.norm(mapping, "fro")),

@@ -123,9 +123,9 @@ def w_matrix(game, P, require_pd=True):
 def project_omega(L, omega, game):
     """Projection onto Omega by whitened singular-value clipping.
 
-    Feasible inputs (min-eig slack -1e-12) pass through unchanged, which also
-    makes the operator idempotent: clipped outputs sit on the boundary and
-    re-enter through the feasibility branch.
+    Feasible inputs (min-eig slack -1e-12) come back as the same object,
+    which also makes the operator idempotent: clipped outputs sit on the
+    boundary and re-enter through the feasibility branch.
     """
     L = np.asarray(L, dtype=float)
     if omega.margin(L, game) >= -INTERIOR_SLACK:
@@ -161,26 +161,8 @@ def projected_step(game, L, D, eta, omega=None):
     candidate leaves it. Returns (L', mapping (L' - L)/(2 eta), proj_active).
     """
     cand = L + eta * D
-    proj_active = omega is not None and omega.margin(cand, game) < -INTERIOR_SLACK
-    Lp = project_omega(cand, omega, game) if proj_active else cand
-    return Lp, (Lp - L) / (2.0 * eta), proj_active
-
-
-def _projection_set(cfg, omega):
-    """The set cfg's outer steps project onto, or None when projection is Off."""
-    if cfg.projection != PROJECTION_WHITENED_SV_CLIP:
-        return None
-    if omega is None:
-        raise ValueError("projection WhitenedSvClip requires an OmegaSet")
-    return omega
-
-
-def outer_step(game, L, inner_res, cfg, omega=None):
-    """One projected outer update of L from a valid inner result at L."""
-    pi = policy.PolicyPair(K=inner_res.K, L=L)  # evaluate checks the shapes
-    Lp, mapping, _ = projected_step(game, pi.L, *_direction(game, policy.evaluate(game, pi), cfg),
-                                    _projection_set(cfg, omega))
-    return Lp, mapping
+    Lp = cand if omega is None else project_omega(cand, omega, game)
+    return Lp, (Lp - L) / (2.0 * eta), Lp is not cand  # feasible cand comes back as is
 
 
 def ascent_step(game, t, trace, L, eta, D):
@@ -227,7 +209,10 @@ def solve_nested(game, L0, cfg, omega=None):
     Returns the final (K(L_T), L_T) pair and the full per-iteration trace.
     """
     L = linalg.as_matrix(L0, rows=game.m2, cols=game.d, name="L0")
-    omega = _projection_set(cfg, omega)
+    if cfg.projection == PROJECTION_OFF:
+        omega = None
+    elif omega is None:
+        raise ValueError("projection WhitenedSvClip requires an OmegaSet")
     if omega is not None and omega.margin(L, game) < -1e-9:
         raise ValueError("L0 lies outside Omega")
 

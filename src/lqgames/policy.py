@@ -33,7 +33,10 @@ class PolicyPair:
 
     def __post_init__(self):
         for field in ("K", "L"):
-            val = linalg.as_matrix(getattr(self, field), name=field)
+            given = getattr(self, field)
+            val = linalg.as_matrix(given, name=field)
+            if val is given:
+                val = val.copy()  # freeze a copy, not the caller's array
             val.flags.writeable = False
             object.__setattr__(self, field, val)
 
@@ -81,25 +84,6 @@ def evaluate(game, pi):
     return PolicyEval(P=P, Sigma=Sigma, cost=cost,
                       gradK=(2.0 * E).dot(Sigma), gradL=(2.0 * F).dot(Sigma),
                       E=E, F=F, rho=rho)
-
-
-def cost_finite_horizon(game, pi, horizon):
-    """Truncated cost sum tr( sum_{t<T} (Acl^T)^t W Acl^t Sigma0 ).
-
-    Works for unstable pairs as well; for stable ones it converges to
-    evaluate(game, pi).cost as the horizon grows.
-    """
-    pi.check_dims(game)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    Acl = closed_loop(game, pi)
-    W = stage_weight(game, pi)
-    total = 0.0
-    S = game.Sigma0.copy()  # Acl^t Sigma0 (Acl^T)^t
-    for _ in range(horizon):
-        total += float(np.sum(W * S))  # tr(W S)
-        S = Acl @ S @ Acl.T
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Per-iteration traces of the solvers plus CSV/JSON serialization.
+"""Per-iteration traces of the solvers, written out as CSV and JSON.
 
 One schema serves the nested methods, the inner loop, the AG/GDA baselines,
 and the model-free runs so downstream tooling (plots, comparisons) stays
@@ -89,27 +89,6 @@ class OuterTrace:
         with open(path, "w") as fh:
             fh.write(self.to_csv())
 
-    @classmethod
-    def from_csv(cls, text):
-        lines = [ln for ln in text.strip().split("\n") if ln]
-        if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"unrecognized trace CSV header: {lines[0] if lines else '(empty)'!r}")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"malformed trace CSV row: {ln!r}")
-            rows.append(TraceRow(
-                t=int(parts[0]), cost=float(parts[1]), grad_map_norm=float(parts[2]),
-                grad_norm=float(parts[3]), lambda_min_qtilde=float(parts[4]),
-                rho=float(parts[5]), proj_active=bool(int(parts[6]))))
-        return cls(rows=rows, converged=False, meta={"source": "csv"})
-
-    @classmethod
-    def read_csv(cls, path):
-        with open(path) as fh:
-            return cls.from_csv(fh.read())
-
     def monotone_cost(self, slack=MONOTONE_SLACK):
         """True if cost never drops by more than slack across unprojected steps."""
         for a, b in zip(self.rows, self.rows[1:]):
@@ -156,10 +135,12 @@ class OuterTrace:
         return out
 
     def write_summary(self, path, oracle_value=None):
+        """Write summary(oracle_value) as JSON to path and return it."""
+        out = self.summary(oracle_value=oracle_value)
         with open(path, "w") as fh:
-            json.dump(self.summary(oracle_value=oracle_value), fh,
-                      indent=2, sort_keys=True)
+            json.dump(out, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return out
 
 
 def fit_log_slope(values, window=RATE_FIT_WINDOW):

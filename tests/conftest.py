@@ -5,6 +5,7 @@ not mutate the returned objects.
 """
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,31 @@ def stabilizing_start(game):
     L0 = np.zeros((game.m2, game.d))
     K0 = lq.solve_inner_riccati(game, L0).K
     return lq.PolicyPair(K=K0, L=L0)
+
+
+def rollout_length_for(rho, decay=1e-10):
+    """Smallest R with rho^R <= decay, for truncation-bias control."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
+    return max(1, math.ceil(math.log(decay) / math.log(rho)))
+
+
+def cost_finite_horizon(game, pi, horizon):
+    """Truncated cost sum tr( sum_{t<T} W Acl^t Sigma0 (Acl^T)^t ), built from
+    the game's matrices alone as an independent reference for evaluate().
+
+    Works for unstable pairs as well; for stable ones it converges to
+    evaluate(game, pi).cost as the horizon grows.
+    """
+    K, L = np.asarray(pi.K), np.asarray(pi.L)
+    Acl = game.A - game.B @ K - game.C @ L
+    W = game.Q + K.T @ game.Ru @ K - L.T @ game.Rv @ L
+    total = 0.0
+    S = np.array(game.Sigma0)  # Acl^t Sigma0 (Acl^T)^t
+    for _ in range(horizon):
+        total += float(np.sum(W * S))  # tr(W S), W and S symmetric
+        S = Acl @ S @ Acl.T
+    return total
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

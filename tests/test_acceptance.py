@@ -14,7 +14,7 @@ import pytest
 import lqgames as lq
 from lqgames import modelfree as mf
 
-from conftest import stabilizing_start
+from conftest import cost_finite_horizon, rollout_length_for, stabilizing_start
 
 P1_EXPECTED = np.array([
     [23.7658, 16.8959, 0.0937],
@@ -218,8 +218,8 @@ def test_criterion_08_riccati_residual_and_series_value(g1, g2, nash1, nash2):
             pair = lq.PolicyPair(nash.Kstar, nash.Lstar)
             ev = lq.evaluate(game, pair)
             assert abs(ev.cost - nash.value) <= 1e-9
-            horizon = 2 * lq.rollout_length_for(ev.rho, 1e-10)
-            assert abs(lq.cost_finite_horizon(game, pair, horizon) - nash.value) <= 1e-9
+            horizon = 2 * rollout_length_for(ev.rho, 1e-10)
+            assert abs(cost_finite_horizon(game, pair, horizon) - nash.value) <= 1e-9
 
 
 def test_criterion_09_projection_properties(g1, nash1):
@@ -249,7 +249,7 @@ def test_criterion_10_sampled_estimates_match_model_reproducibly(g1, k1_at_zero)
         K = np.array([[-2.16165767, -1.13134919, -0.77918194]])
         L = np.array([[2.84248962, 1.4483512, -1.61644337]])
         ev = lq.evaluate(g1, lq.PolicyPair(K, L))
-        R = lq.rollout_length_for(ev.rho, 1e-10)
+        R = rollout_length_for(ev.rho, 1e-10)
         cfg = lq.EstimatorConfig(m=200_000, R=R, r=0.01, seed=11)
         g_a, S_a = lq.estimate_grad_sigma(g1, K, L, cfg)
         g_b, S_b = lq.estimate_grad_sigma(g1, K, L, cfg)

@@ -9,13 +9,27 @@ import pytest
 
 import lqgames as lq
 from lqgames import cli, experiments
-from lqgames.trace import OuterTrace, TraceRow
+from lqgames.trace import CSV_HEADER, OuterTrace, TraceRow
 
 
 def _write_config(path, d):
     with open(path, "w") as fh:
         json.dump(d, fh)
     return str(path)
+
+
+def _read_trace_csv(path):
+    """The rows of a trace CSV as TraceRows; the package only writes them."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = []
+    for line in lines[1:]:
+        t, cost, gmap, grad, qmin, rho, active = line.split(",")
+        rows.append(TraceRow(t=int(t), cost=float(cost), grad_map_norm=float(gmap),
+                             grad_norm=float(grad), lambda_min_qtilde=float(qmin),
+                             rho=float(rho), proj_active=bool(int(active))))
+    return OuterTrace(rows=rows)
 
 
 NESTED_GN = {"solver": "nested", "variant": "GaussNewtonNG", "tol": 1e-7}
@@ -36,7 +50,8 @@ def test_config_rejects_unknown_keys():
                  {"solver": "gda", "stpes": 10},
                  {"solver": "gda", "variant": "NG"},
                  {"solver": "modelfree-inner", "stpes": 10},
-                 {"solver": "modelfree-outer", "max_iter": 10}):
+                 {"solver": "modelfree-outer", "max_iter": 10},
+                 {"solver": "modelfree-inner", "x0_dist": "gaussian"}):  # a removed option
         with pytest.raises(lq.ConfigError):
             experiments.ExperimentConfig.from_dict({"game": "case1", "solvers": [spec]})
 
@@ -222,12 +237,43 @@ def test_per_solver_artifacts_exist(case2_run):
 def test_trace_csv_round_trip(case2_run):
     out, summary = case2_run
     path = os.path.join(out, "nested-GaussNewtonNG.csv")
-    trace = OuterTrace.read_csv(path)
+    trace = _read_trace_csv(path)
     assert len(trace.rows) == summary["solvers"]["nested-GaussNewtonNG"]["iters"] + 1
     # repr-formatted floats reparse to the same doubles, so a rewrite is exact
     with open(path) as fh:
         original = fh.read()
     assert trace.to_csv() == original
+
+
+def _assert_plots_match_reparsed_artifacts(out, names, tmp_path):
+    # the runner plots from memory; the CSV and JSON it wrote must give the
+    # same bytes, so no numpy scalar or unrounded value reaches the SVGs
+    for name in names:
+        with open(os.path.join(out, f"{name}.json")) as fh:
+            summary = json.load(fh)
+        again = tmp_path / name
+        again.mkdir(parents=True)
+        experiments._write_plots(str(again), name,
+                                 _read_trace_csv(os.path.join(out, f"{name}.csv")), summary)
+        for suffix in ("_cost.svg", "_gradmap.svg", "_qtilde.svg"):
+            with open(os.path.join(out, name + suffix), "rb") as fh:
+                assert fh.read() == (again / (name + suffix)).read_bytes(), name + suffix
+
+
+def test_plots_match_the_reparsed_artifacts(case2_run, tmp_path):
+    out, summary = case2_run
+    _assert_plots_match_reparsed_artifacts(out, summary["solvers"], tmp_path / "case2")
+    cfg = experiments.ExperimentConfig.from_dict({"game": "case1", "seed": 3, "solvers": [
+        {"solver": "ag", "flavor": "NaturalPG", "eta": 0.05},
+        {"solver": "modelfree-inner", "m": 200, "R": 40, "r": 0.05, "steps": 3,
+         "alpha": 0.01, "flavor": "PG"},
+        {"solver": "modelfree-outer", "m": 4, "R": 40, "r": 0.05, "T": 2, "eta": 1e-3,
+         "inner_steps": 1, "inner_alpha": 1e-3, "inner_flavor": "PG",
+         "projection": "WhitenedSvClip"}]})
+    out1 = tmp_path / "case1"
+    summary = experiments.run_experiment(cfg, out_dir=str(out1))
+    assert all("error" not in s for s in summary["solvers"].values())
+    _assert_plots_match_reparsed_artifacts(str(out1), summary["solvers"], tmp_path / "again")
 
 
 def _trace_of(costs, map_norms):
@@ -266,7 +312,7 @@ def test_failed_modelfree_runs_leave_their_partial_traces(tmp_path):
         entry = summary["solvers"][name]
         assert entry["error"].startswith("SampleError: inner step")
         assert entry["partial_rows"] == rows
-        trace = OuterTrace.read_csv(tmp_path / f"{name}.csv")
+        trace = _read_trace_csv(tmp_path / f"{name}.csv")
         assert [r.t for r in trace.rows] == list(range(rows))
         assert not (tmp_path / f"{name}.json").exists()
 

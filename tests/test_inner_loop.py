@@ -65,7 +65,7 @@ def test_gauss_newton_half_step_is_best_response_in_p(g1, k1_at_zero):
     K0 = k1_at_zero + np.array([[0.2, -0.1, 0.1]])
     ev = lq.evaluate(g1, lq.PolicyPair(K=K0, L=L))
     cfg = lq.InnerConfig(method=lq.GAUSS_NEWTON, alpha=0.5)
-    K1 = lq.inner_step(g1, K0, L, cfg)
+    K1 = inner_loop._step_from_eval(g1, K0, ev, cfg)
     direct = np.linalg.solve(g1.Ru + g1.B.T @ ev.P @ g1.B,
                              g1.B.T @ ev.P @ (g1.A - g1.C @ L))
     assert np.linalg.norm(K1 - direct, "fro") <= 1e-12
@@ -76,7 +76,7 @@ def test_natural_step_equals_two_alpha_e(g1, k1_at_zero):
     K0 = k1_at_zero + np.array([[0.1, 0.05, -0.1]])
     ev = lq.evaluate(g1, lq.PolicyPair(K=K0, L=L))
     cfg = lq.InnerConfig(method=lq.NATURAL_PG, alpha=0.02)
-    K1 = lq.inner_step(g1, K0, L, cfg)
+    K1 = inner_loop._step_from_eval(g1, K0, ev, cfg)
     assert np.linalg.norm(K1 - (K0 - 2 * 0.02 * ev.E), "fro") <= 1e-12
 
 

@@ -1,11 +1,15 @@
 """Zeroth-order estimation and the sampled-data solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import lqgames as lq
 from lqgames import linalg
 from lqgames import modelfree as mf
+
+from conftest import rollout_length_for
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -35,12 +39,12 @@ def test_sphere_batches_are_unbiased(g1):
 
 
 def test_rollout_length_for():
-    assert mf.rollout_length_for(0.5, 1e-10) == 34
-    assert lq.rollout_length_for(0.9239, 1e-10) == 291
+    assert rollout_length_for(0.5, 1e-10) == 34
+    assert rollout_length_for(0.9239, 1e-10) == 291
     with pytest.raises(ValueError):
-        lq.rollout_length_for(1.0)
+        rollout_length_for(1.0)
     with pytest.raises(ValueError):
-        lq.rollout_length_for(0.0)
+        rollout_length_for(0.0)
 
 
 # -- one-shot estimates ------------------------------------------------------
@@ -52,7 +56,7 @@ def test_estimator_matches_model_at_frozen_pair(g1):
     K = np.array([[-2.16165767, -1.13134919, -0.77918194]])
     L = np.array([[2.84248962, 1.4483512, -1.61644337]])
     ev = lq.evaluate(g1, lq.PolicyPair(K, L))
-    R = lq.rollout_length_for(ev.rho, 1e-10)
+    R = rollout_length_for(ev.rho, 1e-10)
     assert R == 291
     cfg = lq.EstimatorConfig(m=200_000, R=R, r=0.01, seed=11)
 
@@ -83,28 +87,6 @@ def test_estimates_are_bit_reproducible(g1, k1_at_zero):
     g_c, _ = lq.estimate_grad_sigma(g1, k1_at_zero, L,
                                     lq.EstimatorConfig(m=500, R=60, r=0.05, seed=10))
     assert not np.array_equal(g_a, g_c)
-
-
-def test_cube_initial_states(g1, k1_at_zero):
-    cfg = lq.EstimatorConfig(m=400, R=50, r=0.05, seed=7, x0_dist="cube")
-    grad, Sigma = lq.estimate_grad_sigma(g1, k1_at_zero, np.zeros((1, 3)), cfg)
-    assert np.all(np.isfinite(grad))
-    assert np.allclose(Sigma, Sigma.T)
-    # cube sampling keeps the first two moments of Sigma0: zero mean, matching
-    # covariance, so the Sigma estimate still targets the model quantity
-    ev = lq.evaluate(g1, lq.PolicyPair(k1_at_zero, np.zeros((1, 3))))
-    assert (np.linalg.norm(Sigma - ev.Sigma, "fro")
-            / np.linalg.norm(ev.Sigma, "fro")) <= 0.35
-
-
-def test_cube_requires_diagonal_state_covariance():
-    S0 = np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    g = lq.LqGame(A=0.4 * np.eye(3), B=[[1.0], [0.0], [0.0]], C=[[0.0], [0.0], [1.0]],
-                  Q=np.eye(3), Ru=[[1.0]], Rv=[[5.0]], Sigma0=S0)
-    with pytest.raises(lq.ConfigError):
-        mf.RolloutEngine(g, 0, x0_dist="cube")
-    with pytest.raises(ValueError):
-        lq.EstimatorConfig(x0_dist="ball")
 
 
 def test_destabilizing_perturbation_reports_sample_index(g1, k1_at_zero):
@@ -287,6 +269,20 @@ def test_outer_natural_ng_wiring_matches_nested_loop(g1):
     # the closed form), so agreement is to solver roundoff, not bitwise
     for rm, rn in zip(tr_mf.rows, tr.rows):
         assert np.linalg.norm(rm.L - rn.L, "fro") <= 1e-12
+
+
+@pytest.mark.parametrize("projection", [False, True])
+def test_outer_modelfree_diverging_step_is_a_typed_error(g2, nash2, projection):
+    # eta = 1e300 sends L past where L^T Rv L overflows: the step is refused
+    # before the projection sees it, with the rows taken so far
+    omega = lq.OmegaSet.for_game(g2, nash=nash2) if projection else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
+        with pytest.raises(lq.ConvergenceError, match="outer step 0 diverged") as exc:
+            lq.outer_ng_modelfree(g2, np.zeros((1, 3)), lq.EstimatorConfig(), 3, 1e300,
+                                  omega=omega, estimator=_mirror_outer_estimator(g2, 1e-10))
+    assert exc.value.iterations == 0
+    assert isinstance(exc.value.trace, lq.OuterTrace) and exc.value.trace.rows == []
 
 
 def test_inner_modelfree_rejects_gauss_newton(g1, k1_at_zero):

@@ -123,23 +123,38 @@ def test_projection_contraction_on_spherical_weights():
         assert lhs >= rhs - 1e-10
 
 
+def test_projected_step_computes_the_candidates_margin_once(g1, nash1, monkeypatch):
+    om = lq.OmegaSet.for_game(g1, nash=nash1)
+    calls = []
+    margin = lq.OmegaSet.margin
+    monkeypatch.setattr(lq.OmegaSet, "margin", lambda *a: calls.append(1) or margin(*a))
+    L, D = np.zeros((1, 3)), np.array([[1.0, -2.0, 0.5]])
+    for eta, active in ((1e-3, False), (10.0, True)):
+        calls.clear()
+        Lp, mapping, proj_active = outer_loop.projected_step(g1, L, D, eta, om)
+        assert len(calls) == 1 and proj_active == active
+        assert np.array_equal(Lp, lq.project_omega(L + eta * D, om, g1))
+        assert np.array_equal(mapping, (Lp - L) / (2.0 * eta))
+
+
 def test_outer_step_directions(g1):
     rng = np.random.default_rng(25)
     L = rng.uniform(-0.1, 0.1, size=(1, 3))
     res = lq.solve_inner_riccati(g1, L)
     ev = lq.evaluate(g1, lq.PolicyPair(K=res.K, L=L))
 
-    cfg = lq.OuterConfig(variant=lq.NG, eta=0.1)
-    Lp, mapping = lq.outer_step(g1, L, res, cfg)
+    def step(cfg):
+        return outer_loop.projected_step(g1, L, *outer_loop._direction(g1, ev, cfg))
+
+    Lp, mapping, proj_active = step(lq.OuterConfig(variant=lq.NG, eta=0.1))
     assert np.array_equal(Lp, L + 0.1 * ev.gradL)
     assert np.allclose(mapping, 0.5 * ev.gradL, atol=1e-14)
+    assert not proj_active
 
-    cfg = lq.OuterConfig(variant=lq.NATURAL_NG, eta=0.05)
-    Lp, _ = lq.outer_step(g1, L, res, cfg)
+    Lp, _, _ = step(lq.OuterConfig(variant=lq.NATURAL_NG, eta=0.05))
     assert np.linalg.norm(Lp - (L + 0.05 * 2.0 * ev.F), "fro") <= 1e-12
 
-    cfg = lq.OuterConfig(variant=lq.GAUSS_NEWTON_NG)  # adaptive stepsize
-    Lp, _ = lq.outer_step(g1, L, res, cfg)
+    Lp, _, _ = step(lq.OuterConfig(variant=lq.GAUSS_NEWTON_NG))  # adaptive stepsize
     W = lq.w_matrix(g1, ev.P)
     eta = 1.0 / (2.0 * np.linalg.norm(W, 2))
     assert np.linalg.norm(Lp - (L + eta * 2.0 * np.linalg.solve(W, ev.F)),

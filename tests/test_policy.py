@@ -5,6 +5,8 @@ import pytest
 
 import lqgames as lq
 
+from conftest import cost_finite_horizon
+
 
 def scalar_game(a=0.5, b=1.0, c=0.3, q=1.0, ru=2.0, rv=5.0, s0=0.7):
     return lq.LqGame(A=[[a]], B=[[b]], C=[[c]], Q=[[q]], Ru=[[ru]],
@@ -72,11 +74,28 @@ def test_gradients_match_finite_differences(g1):
 def test_finite_horizon_cost_increases_to_limit(g1):
     pi = random_stabilizing_pairs(g1, np.random.default_rng(4), 1)[0]
     ev = lq.evaluate(g1, pi)
-    costs = [lq.cost_finite_horizon(g1, pi, R) for R in (5, 20, 80, 400)]
+    costs = [cost_finite_horizon(g1, pi, R) for R in (5, 20, 80, 400)]
     # truncation underestimates the infinite-horizon cost and is monotone in R
     assert all(c <= ev.cost + 1e-12 for c in costs)
     assert all(costs[i] <= costs[i + 1] + 1e-12 for i in range(len(costs) - 1))
     assert costs[-1] == pytest.approx(ev.cost, rel=1e-6)
+
+
+def test_constructors_leave_the_callers_arrays_writable(g1):
+    # PolicyPair and LqGame freeze copies of float64 inputs, not the inputs
+    K, L = np.zeros((1, 3)), np.ones((1, 3))
+    pi = lq.PolicyPair(K=K, L=L)
+    K[0, 0], L[0, 0] = 1.0, 2.0
+    assert pi.K[0, 0] == 0.0 and pi.L[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        pi.K[0, 0] = 1.0
+    A = np.array(g1.A)
+    game = lq.LqGame(A=A, B=np.array(g1.B), C=np.array(g1.C), Q=g1.Q, Ru=g1.Ru,
+                     Rv=g1.Rv, Sigma0=g1.Sigma0)
+    A[0, 0] += 1.0
+    assert game.A[0, 0] == g1.A[0, 0]
+    with pytest.raises(ValueError):
+        game.A[0, 0] = 0.0
 
 
 def test_evaluate_rejects_unstable_pair(g1):
