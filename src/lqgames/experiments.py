@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, game as game_mod, inner_loop, linalg, modelfree, outer_loop, svgplot
-from .errors import ConfigError, LqGamesError, SampleError
+from .errors import ConfigError, ConvergenceError, LqGamesError, SampleError
 from .policy import PolicyPair
 from .trace import OuterTrace, trace_row
 
@@ -262,7 +262,7 @@ def _run_modelfree_inner(game, spec, seed):
     try:
         modelfree.inner_ng_modelfree(game, L, K0, cfg, args["steps"], args["alpha"],
                                      flavor=args["flavor"], tol=args["tol"], record=record)
-    except SampleError as e:
+    except (SampleError, ConvergenceError) as e:
         e.trace = trace  # partial progress travels with the failure
         raise
     # converged: stopped because the estimated gradient norm met the tol

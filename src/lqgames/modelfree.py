@@ -24,9 +24,10 @@ O(d^3 log R) per trajectory and stepping O(d^2 R), so for rollouts short
 for their dimension, R < ROLLOUT_DOUBLING_R_PER_D2 * d^2, the kernel steps R
 times instead. estimate_inner is the one-pair case; the lock-step inner
 solves and the outer estimate's own rollouts (one trajectory per pair) are
-the others. Budgets (m, R, r and the step counts) are checked once, where
-they enter: EstimatorConfig, estimate_inner, estimate_outer,
-inner_ng_modelfree and outer_ng_modelfree raise ConfigError for bad ones.
+the others. Budgets (m, R, r and the step counts), stepsizes and gains are
+checked once, where they enter: EstimatorConfig, estimate_inner,
+estimate_outer, inner_ng_modelfree and outer_ng_modelfree raise ConfigError
+for bad budgets and stepsizes, and check gains through linalg.as_matrix.
 
 Randomness is counter-based: every draw comes from the engine's Philox
 generator re-keyed to (seed, stream index), one stream per draw block. Results
@@ -42,21 +43,27 @@ the warm start of the other samples and of the next outer step. Samples
 1..m-1 then take their inner steps together, in blocks of at most
 LOCKSTEP_TRAJECTORIES live trajectories, each drawing from its own streams,
 so neither the schedule nor the block size changes a result. A failure
-raises the SampleError that the sequential schedule would raise first.
+raises the error that the sequential schedule would raise first.
 
 Every perturbed gain must keep its closed loop strictly inside the stability
-margin (rho < 1 - linalg.STABILITY_MARGIN). Up to SCREEN_MAX_DIM states that
-verdict comes from a batched Schur-Cohn test on each closed loop's
-characteristic polynomial, scaled by 1 - STABILITY_MARGIN, so the margin is
-the one linalg applies. Eigenvalues are computed only where a radius is
-reported: the first failing sample's in the SampleError message,
-estimate_inner's rho_max (eigvals on a strided probe, then on the few loops
-the Schur-Cohn test cannot place below the probe's maximum), and
-estimate_outer's screen of its at most m inner responses, whose largest
-radius goes into the trace. Larger games are screened by batched eigvals.
+margin (rho < 1 - linalg.STABILITY_MARGIN). The screen walks the perturbed
+gains in the rollout's chunks. Up to SCREEN_MAX_DIM states each chunk's
+closed loops are built trajectory-last, as the rollout builds them, and
+their verdicts come from a Schur-Cohn test on each loop's characteristic
+polynomial, scaled by 1 - STABILITY_MARGIN, so the margin is the one linalg
+applies; larger games are screened by batched eigvals on the chunk. The
+screen keeps only its verdicts and the few loops whose radius eigvals must
+decide, so an estimate's memory beyond its draws (U, x0), perturbed gains
+and costs is bounded by one chunk. Eigenvalues are computed only where a
+radius is reported: the first failing sample's in the SampleError message,
+estimate_inner's rho_max (eigvals on a strided probe first, then on the few
+loops the per-chunk Schur-Cohn test cannot place below the probe's
+maximum), and estimate_outer's screen of its at most m inner responses,
+whose largest radius goes into the trace.
 
-A SampleError raised by outer_ng_modelfree carries the trace of the steps
-before it as .trace.
+An inner step whose update, or K'Ru K, is not finite raises a
+ConvergenceError naming the step. A SampleError or ConvergenceError raised
+by outer_ng_modelfree carries the trace of the steps before it as .trace.
 
 Trace columns for the outer solver are diagnostics computed from the model
 (spectral radius, constraint margin); the algorithm itself touches only
@@ -70,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inner_loop, linalg, outer_loop
-from .errors import ConfigError, SampleError
+from .errors import ConfigError, ConvergenceError, SampleError
 from .trace import OuterTrace, trace_row
 
 _MASK64 = (1 << 64) - 1
@@ -93,9 +100,10 @@ RHO_PROBE_STRIDE = 64
 # d = 4, 75 at d = 5, 120 at d = 6, 250 at d = 8, 330 at d = 10 and 1300 at
 # d = 20.
 ROLLOUT_DOUBLING_R_PER_D2 = 3
-# Doubling rollouts work on slices of max(1, ROLLOUT_SLICE_ENTRIES // d^2)
-# trajectories (1820 at d = 3), so their six work arrays hold at most this
-# many entries each; at d = 3 slices of 1024 to 8192 trajectories took about
+# Doubling rollouts and the stability screen work on chunks of at most
+# max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories (1820 at d = 3), so each
+# of their work arrays holds about this many entries (the rollout keeps six,
+# the screen a few); at d = 3 chunks of 1024 to 8192 trajectories took about
 # the same time.
 ROLLOUT_SLICE_ENTRIES = 16_384
 # Products of (d, d, n) stacks, the stack index last: A B and A B'.
@@ -137,27 +145,60 @@ def _eig_radii(Acl):
     return np.abs(np.linalg.eigvals(Acl)).max(axis=-1)
 
 
+def _chunks(P, k, d):
+    """The chunks in which rollouts and the screen walk a (P, k) stack of
+    trajectories, as (pairs, trajectories) slices of at most
+    max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories: whole pairs when a
+    pair has fewer, else one fixed-offset slice of one pair's trajectories,
+    so a pair's results do not depend on the stack."""
+    size = max(1, ROLLOUT_SLICE_ENTRIES // d ** 2)
+    pairs = size // min(k, size)
+    for p0 in range(0, P, pairs):
+        for k0 in range(0, k, size):
+            yield slice(p0, p0 + pairs), slice(k0, k0 + size)
+
+
+def _loop_offsets(game, L):
+    """A - C L for the maximizer gains L (P, m2, d), trajectory-last as
+    (d, d, P, 1)."""
+    return np.moveaxis(game.A - game.C @ L, 0, -1)[..., None]
+
+
+def _trajectory_last(K):
+    """Gains K (p, k, m1, d) as a contiguous (m1, d, p, k) stack."""
+    return np.ascontiguousarray(np.moveaxis(K, (0, 1), (2, 3)))
+
+
+def _chunk_loops(game, F, Kt, out=None):
+    """The closed loops F - B K of a chunk, (d, d, p, k), for the offsets F
+    (d, d, p, 1) of _loop_offsets and the gains Kt of _trajectory_last."""
+    Acl = np.einsum("ia,ajpk->ijpk", game.B, Kt, out=out)
+    return np.subtract(F, Acl, out=Acl)
+
+
 def _char_poly(Acl):
     """Coefficients [1, c_1, ..., c_d], stacked on a leading axis, of the monic
-    characteristic polynomials z^d + c_1 z^(d-1) + ... + c_d of a stack Acl
-    (..., d, d), d <= 3.
+    characteristic polynomials z^d + c_1 z^(d-1) + ... + c_d of the closed
+    loops Acl (d, d, ...), stacked on trailing axes, d <= 3.
 
     They come from the power traces p_k = tr Acl^k by Newton's identities,
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); tr Acl^3 is the sum of
-    Acl^2 * Acl^T, so one batched product serves every d <= 3.
+    Acl^2 * Acl^T, so one batched product serves every d <= 3. Loops with
+    entries large enough to overflow get non-finite coefficients, which the
+    Schur-Cohn test rejects.
     """
-    d = Acl.shape[-1]
-    p = [np.einsum("...ii->...", Acl)]
-    if d > 1:
-        A2 = Acl @ Acl
-        p.append(np.einsum("...ii->...", A2))
-        if d > 2:
-            p.append(np.einsum("...ij,...ji->...", A2, Acl))
-        del A2  # the largest temporary; gone before the coefficients are built
-    c = np.empty((d + 1,) + Acl.shape[:-2])
-    c[0] = 1.0
-    for k in range(1, d + 1):
-        c[k] = -sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k
+    d = Acl.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = [np.einsum("ii...->...", Acl)]
+        if d > 1:
+            A2 = np.einsum("ij...,jl...->il...", Acl, Acl)
+            p.append(np.einsum("ii...->...", A2))
+            if d > 2:
+                p.append(np.einsum("ij...,ji...->...", A2, Acl))
+        c = np.empty((d + 1,) + Acl.shape[2:])
+        c[0] = 1.0
+        for k in range(1, d + 1):
+            c[k] = -sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k
     return c
 
 
@@ -179,74 +220,26 @@ def _inside(coef, s):
     return ok
 
 
-class _Screen:
-    """Stability verdicts for a stack of closed loops Acl (..., d, d):
-    stable is the mask of rho(Acl) < 1 - STABILITY_MARGIN.
-
-    Up to SCREEN_MAX_DIM the verdicts come from the Schur-Cohn test on the
-    characteristic polynomials, and eigvals runs only where a radius is
-    reported. Above it they come from batched eigvals, whose radii are kept.
-    """
-
-    def __init__(self, Acl):
-        self.Acl = Acl
-        s = 1.0 - linalg.STABILITY_MARGIN
-        if Acl.shape[-1] <= SCREEN_MAX_DIM:
-            self.coef, self.rho = _char_poly(Acl), None
-            self.stable = _inside(self.coef, s)
-        else:
-            self.coef, self.rho = None, _eig_radii(Acl)
-            self.stable = self.rho < s
-
-    def error(self, radius, row=()):
-        """The SampleError for the first perturbed gain in the (k, d, d) stack
-        Acl[row] that is not stable, or None."""
-        bad = np.flatnonzero(~self.stable[row])
-        if not bad.size:
-            return None
-        i = int(bad[0])
-        return SampleError(
-            f"perturbed gain {i} of {self.stable[row].shape[0]} is destabilizing "
-            f"(rho = {_eig_radii(self.Acl[row][i]):.6f}); shrink the smoothing radius r "
-            f"(currently {radius:g}) or move to a better-conditioned pair",
-            index=i)
-
-    def max_radius(self):
-        """The largest radius of a (k, d, d) stack, as eigvals gives it.
-
-        eigvals on every RHO_PROBE_STRIDE-th loop gives rho_hat; the
-        Schur-Cohn test at rho_hat (1 - 1e-12) places most of the others
-        below it, and eigvals decides the few it cannot. The result is
-        exact unless some loop's eigvals and characteristic polynomial
-        disagree by more than 1e-12 relative, which takes eigenvalues near a
-        defective (Jordan) one.
-        """
-        if self.rho is not None:
-            return float(self.rho.max())
-        rho_hat = float(_eig_radii(self.Acl[::RHO_PROBE_STRIDE]).max())
-        rest = self.Acl[~_inside(self.coef, rho_hat * (1.0 - 1e-12))]
-        return max(rho_hat, float(_eig_radii(rest).max())) if len(rest) else rho_hat
-
-
-def _screen_samples(Acl, radius):
-    """The largest radius of the sampled closed loops Acl (k, d, d), after
-    raising the SampleError of the first one that is not stable. The screen
-    and its arrays are gone once it returns, before the rollout allocates."""
-    screen = _Screen(Acl)
-    error = screen.error(radius)
-    if error is not None:
-        raise error
-    return screen.max_radius()
-
-
 def _at_inner_step(j, e):
     return SampleError(f"inner step {j}: {e}", index=e.index)
 
 
-def _inner_update(K, grad, Sigma, alpha, flavor):
-    if flavor == inner_loop.PG:
-        return inner_loop.pg_update(K, grad, alpha)
-    return inner_loop.natural_pg_update(K, grad, Sigma, alpha)
+def _inner_update(game, K, grad, Sigma, alpha, flavor):
+    """The inner updates of the gains K (..., m1, d), and the mask of those
+    that stayed finite with K'Ru K finite, without overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if flavor == inner_loop.PG:
+            K = inner_loop.pg_update(K, grad, alpha)
+        else:
+            K = inner_loop.natural_pg_update(K, grad, Sigma, alpha)
+        # a non-finite entry of K makes a diagonal entry of K'Ru K non-finite
+        ok = np.isfinite(np.swapaxes(K, -1, -2) @ game.Ru @ K).all(axis=(-2, -1))
+    return K, ok
+
+
+def _diverged(j):
+    return ConvergenceError(f"inner step {j} diverged: K - alpha D or K^T Ru K is not "
+                            "finite; the stepsize alpha is likely too large", iterations=j)
 
 
 def _doubled_sums(A, X, M, T, AT, R):
@@ -283,18 +276,23 @@ def _check_budget(m, R, r, **counts):
     for name, value, least in bounds:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r < math.inf:
-        raise ConfigError(f"r must be finite and positive, got {r!r}")
+    _check_positive("r", r)
 
 
-def _check_inner_method(flavor, alpha):
+def _check_positive(name, value):
+    """Raise ConfigError unless value (r or a stepsize) is finite and positive."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_inner_method(flavor, alpha, name="alpha"):
     if flavor == inner_loop.GAUSS_NEWTON:
         raise ConfigError("the Gauss-Newton inner update cannot be estimated "
                           "from rollouts; use PG or NaturalPG")
     if flavor not in (inner_loop.PG, inner_loop.NATURAL_PG):
         raise ConfigError(f"unknown model-free inner flavor {flavor!r}")
-    if alpha is None or alpha <= 0.0:
-        raise ValueError("alpha must be an explicit positive stepsize")
+    _check_positive(name, alpha)
+
 
 
 class RolloutEngine:
@@ -343,6 +341,53 @@ class RolloutEngine:
         g = self.game
         return (g.A - g.C @ L)[:, None] - g.B @ K
 
+    def _screen(self, Kp, L, rho_hat=None):
+        """Stability verdicts for the closed loops A - C L_p - B Kp[p, i] of
+        the perturbed gains Kp (P, k, m1, d) against L (P, m2, d), walked in
+        the rollout's chunks, so no array spans more than one chunk's loops.
+
+        Returns the (P, k) mask of rho < 1 - STABILITY_MARGIN and, given
+        rho_hat, the (P, k) mask of loops whose radius the screen cannot
+        place below rho_hat (1 - 1e-12), else None. Up to SCREEN_MAX_DIM the
+        loops are built as the rollout builds them and both masks come from
+        the Schur-Cohn test on their characteristic polynomials; above it
+        from batched eigvals on loops built as _closed_loops builds them.
+        """
+        g = self.game
+        P, k = Kp.shape[:2]
+        s = 1.0 - linalg.STABILITY_MARGIN
+        stable = np.empty((P, k), dtype=bool)
+        near = None if rho_hat is None else np.empty((P, k), dtype=bool)
+        F = _loop_offsets(g, L)
+        for p, t in _chunks(P, k, g.d):
+            if g.d <= SCREEN_MAX_DIM:
+                coef = _char_poly(_chunk_loops(g, F[:, :, p], _trajectory_last(Kp[p, t])))
+                stable[p, t] = _inside(coef, s)
+                if near is not None:
+                    near[p, t] = ~_inside(coef, rho_hat * (1.0 - 1e-12))
+            else:
+                rho = _eig_radii(self._closed_loops(Kp[p, t], L[p]))
+                stable[p, t] = rho < s
+                if near is not None:
+                    near[p, t] = rho > rho_hat
+        return stable, near
+
+    def _first_unstable(self, Kp, L, stable, radius):
+        """The first pair with a closed loop that is not stable and the
+        SampleError naming its first such perturbed gain, or None; the
+        reported radius comes from eigvals."""
+        failed = np.flatnonzero(~stable.all(axis=1))
+        if not failed.size:
+            return None
+        p = int(failed[0])
+        i = int(np.flatnonzero(~stable[p])[0])
+        rho = _eig_radii(self._closed_loops(Kp[p:p + 1, i:i + 1], L[p:p + 1]))[0, 0]
+        return p, SampleError(
+            f"perturbed gain {i} of {stable.shape[1]} is destabilizing "
+            f"(rho = {rho:.6f}); shrink the smoothing radius r "
+            f"(currently {radius:g}) or move to a better-conditioned pair",
+            index=i)
+
     def _rollout(self, K, L, x0, R):
         """Batched R-step rollouts of P gain pairs with k trajectories each.
 
@@ -363,41 +408,33 @@ class RolloutEngine:
 
         Arrays keep the trajectory index last, (d, d, pairs, trajectories),
         so that every product is one einsum over the stack. The work runs in
-        chunks of at most max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories:
-        whole pairs when a pair has fewer, else one fixed-offset slice of one
-        pair's trajectories, so a pair's sums do not depend on the stack.
+        the chunks of _chunks, so a pair's sums do not depend on the stack.
         """
         g = self.game
         d = g.d
         P, k = x0.shape[:2]
-        F = np.moveaxis(g.A - g.C @ L, 0, -1)[..., None]  # (d, d, P, 1)
+        F = _loop_offsets(g, L)
         Wbar = np.moveaxis(g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L, 0, -1)[..., None]
         cost, S = np.empty((P, k)), np.zeros((d, d, P))
-        size = max(1, ROLLOUT_SLICE_ENTRIES // d ** 2)
-        pairs = size // min(k, size)
-        work = np.empty((6, d * d * max(2, min(P, pairs) * min(k, size))))
-        for p0 in range(0, P, pairs):
-            p = slice(p0, p0 + pairs)
-            for k0 in range(0, k, size):
-                t = slice(k0, k0 + size)
-                Kt = np.ascontiguousarray(np.moveaxis(K[p, t], (0, 1), (2, 3)))
-                x = np.ascontiguousarray(np.moveaxis(x0[p, t], 2, 0))
-                kept = x.shape[2]
-                if x.shape[1] * kept == 1:
-                    # einsum sums over a lone (d, d, 1) stack in another
-                    # order; a copy of the trajectory keeps the usual one
-                    Kt, x = np.concatenate((Kt, Kt), -1), np.concatenate((x, x), -1)
-                shape = (d, d) + x.shape[1:]
-                n = shape[2] * shape[3]
-                Acl, W, X, M, T, AT = (w[:d * d * n].reshape(shape) for w in work)
-                np.einsum("ia,ajpk->ijpk", g.B, Kt, out=Acl)
-                np.subtract(F[:, :, p], Acl, out=Acl)
-                np.einsum("aipk,ajpk->ijpk", Kt, np.einsum("ab,bjpk->ajpk", g.Ru, Kt), out=W)
-                W += Wbar[:, :, p]
-                np.multiply(x[:, None], x[None], out=X)
-                _doubled_sums(*(a.reshape(d, d, n) for a in (Acl, X, M, T, AT)), R)
-                cost[p, t] = np.einsum("ijpk,ijpk->pk", W, M)[:, :kept]
-                S[:, :, p] += M[..., :kept].sum(axis=-1)
+        work = np.empty((6, d * d * max(2, min(P * k, ROLLOUT_SLICE_ENTRIES // d ** 2))))
+        for p, t in _chunks(P, k, d):
+            Kt = _trajectory_last(K[p, t])
+            x = np.ascontiguousarray(np.moveaxis(x0[p, t], 2, 0))
+            kept = x.shape[2]
+            if x.shape[1] * kept == 1:
+                # einsum sums over a lone (d, d, 1) stack in another
+                # order; a copy of the trajectory keeps the usual one
+                Kt, x = np.concatenate((Kt, Kt), -1), np.concatenate((x, x), -1)
+            shape = (d, d) + x.shape[1:]
+            n = shape[2] * shape[3]
+            Acl, W, X, M, T, AT = (w[:d * d * n].reshape(shape) for w in work)
+            _chunk_loops(g, F[:, :, p], Kt, out=Acl)
+            np.einsum("aipk,ajpk->ijpk", Kt, np.einsum("ab,bjpk->ajpk", g.Ru, Kt), out=W)
+            W += Wbar[:, :, p]
+            np.multiply(x[:, None], x[None], out=X)
+            _doubled_sums(*(a.reshape(d, d, n) for a in (Acl, X, M, T, AT)), R)
+            cost[p, t] = np.einsum("ijpk,ijpk->pk", W, M)[:, :kept]
+            S[:, :, p] += M[..., :kept].sum(axis=-1)
         return cost, np.moveaxis(S, -1, 0)
 
     def _rollout_steps(self, K, L, x0, R):
@@ -428,13 +465,13 @@ class RolloutEngine:
                 z, z_next = z_next, z
         return cost, S[:, :d, :d]
 
-    def _estimates(self, K, L, U, x0, R, r):
-        """One-point (gradK, Sigma) estimates at P stable pairs at once:
-        K (P, m1, d) perturbed by U (P, k, m1, d), L (P, m2, d), x0 (P, k, d).
+    def _estimates(self, Kp, L, U, x0, R, r):
+        """One-point (gradK, Sigma) estimates at P stable pairs at once: the
+        perturbed gains Kp (P, k, m1, d) = K + U, L (P, m2, d), x0 (P, k, d).
         Returns grad (P, m1, d), Sigma (P, d, d) and the (P, k) costs."""
         g = self.game
         k = U.shape[1]
-        cost, S = self._rollout(K[:, None] + U, L, x0, R)
+        cost, S = self._rollout(Kp, L, x0, R)
         dim = g.m1 * g.d
         grad = (dim / (k * r * r)) * np.einsum("pk,pkij->pij", cost, U)
         Sigma = S / k
@@ -444,12 +481,25 @@ class RolloutEngine:
         """Zeroth-order (gradK, Sigma) estimate at (K, L) by perturbing K."""
         _check_budget(m, R, r)
         g = self.game
-        K = np.asarray(K, dtype=float)[None]
-        L = np.asarray(L, dtype=float)[None]
+        K = linalg.as_matrix(K, g.m1, g.d, "K")[None]
+        L = linalg.as_matrix(L, g.m2, g.d, "L")[None]
         U = self.draw_perturbations(m, g.m1, g.d, r)[None]
         x0 = self.draw_x0(m)[None]
-        rho_max = _screen_samples(self._closed_loops(K[:, None] + U, L)[0], r)
-        grad, Sigma, cost = self._estimates(K, L, U, x0, R, r)
+        Kp = K[:, None] + U
+        # rho_max: eigvals on a strided probe gives rho_hat, the screen places
+        # most loops below it chunk by chunk, and eigvals decides the few it
+        # cannot. That is exact unless a loop's eigvals and characteristic
+        # polynomial disagree by more than 1e-12 relative, which takes
+        # eigenvalues near a defective (Jordan) one.
+        rho_hat = float(_eig_radii(self._closed_loops(Kp[:, ::RHO_PROBE_STRIDE], L)).max())
+        stable, near = self._screen(Kp, L, rho_hat)
+        failure = self._first_unstable(Kp, L, stable, r)
+        if failure is not None:
+            raise failure[1]
+        rho_max = rho_hat
+        if near.any():
+            rho_max = max(rho_max, float(_eig_radii(self._closed_loops(Kp[near][None], L)).max()))
+        grad, Sigma, cost = self._estimates(Kp, L, U, x0, R, r)
         return GradEstimate(grad=grad[0], Sigma=Sigma[0],
                             cost_mean=float(cost.mean()), cost_std=float(cost.std()),
                             m=m, rho_max=rho_max)
@@ -465,9 +515,10 @@ class RolloutEngine:
         0's response, the warm start for the next call.
         """
         _check_budget(m, R, r, inner_steps=inner_steps)
-        _check_inner_method(inner_flavor, inner_alpha)
+        _check_inner_method(inner_flavor, inner_alpha, "inner_alpha")
         g = self.game
-        L = np.asarray(L, dtype=float)
+        K_warm = linalg.as_matrix(K_warm, g.m1, g.d, "K_warm")
+        L = linalg.as_matrix(L, g.m2, g.d, "L")
         first = self._stream
         V = self.draw_perturbations(m, g.m2, g.d, r)
         x0 = self.draw_x0(m)
@@ -517,7 +568,8 @@ class RolloutEngine:
         i's step j draws from streams[i] + 2 j and the stream after it.
 
         Returns the (n, m1, d) responses and None, or the index of the first
-        solve that failed and its SampleError; the solves after it are
+        solve that failed and its error (a SampleError, or the
+        ConvergenceError of a diverged step); the solves after it are
         dropped when it fails, and their responses are meaningless.
         """
         g = self.game
@@ -527,18 +579,24 @@ class RolloutEngine:
         for j in range(steps):
             U = np.stack([_sphere(self._generator(s + 2 * j), k, g.m1, g.d, r)
                           for s in streams[:n]])
-            screen = _Screen(self._closed_loops(K[:n, None] + U, Ls[:n]))
-            failed = np.flatnonzero(~screen.stable.all(axis=1))
-            if failed.size:
-                n = int(failed[0])
-                error = (n, _at_inner_step(j, screen.error(r, n)))
+            Kp = K[:n, None] + U
+            failure = self._first_unstable(Kp, Ls[:n], self._screen(Kp, Ls[:n])[0], r)
+            if failure is not None:
+                n = failure[0]
+                error = (n, _at_inner_step(j, failure[1]))
                 if n == 0:
                     break
-                U = U[:n]
+                Kp, U = Kp[:n], U[:n]
             x0 = np.stack([self._x0(self._generator(s + 2 * j + 1), k)
                            for s in streams[:n]])
-            grad, Sigma, _ = self._estimates(K[:n], Ls[:n], U, x0, R, r)
-            K[:n] = _inner_update(K[:n], grad, Sigma, alpha, flavor)
+            grad, Sigma, _ = self._estimates(Kp, Ls[:n], U, x0, R, r)
+            K[:n], ok = _inner_update(g, K[:n], grad, Sigma, alpha, flavor)
+            diverged = np.flatnonzero(~ok)
+            if diverged.size:
+                n = int(diverged[0])
+                error = (n, _diverged(j))
+                if n == 0:
+                    break
         return K, error
 
 
@@ -566,8 +624,8 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     if estimator is None:
         engine = RolloutEngine(game, cfg.seed)
         estimator = lambda K_, L_: engine.estimate_inner(K_, L_, cfg.m, cfg.R, cfg.r)
-    K = np.array(K0, dtype=float)
-    L = np.asarray(L, dtype=float)
+    K = linalg.as_matrix(K0, game.m1, game.d, "K0").copy()  # K0 itself is never returned
+    L = linalg.as_matrix(L, game.m2, game.d, "L")
     for j in range(steps + 1):
         try:
             est = estimator(K, L)
@@ -577,7 +635,9 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
             record(j, K, est)
         if j == steps or (tol is not None and np.linalg.norm(est.grad, "fro") <= tol):
             return K
-        K = _inner_update(K, est.grad, est.Sigma, alpha, flavor)
+        K, ok = _inner_update(game, K, est.grad, est.Sigma, alpha, flavor)
+        if not ok:
+            raise _diverged(j)
 
 
 def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
@@ -599,9 +659,11 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     _check_budget(cfg.m, cfg.R, cfg.r, T=T, inner_steps=inner_steps)
     if flavor not in (outer_loop.NG, outer_loop.NATURAL_NG):
         raise ConfigError("model-free outer flavor must be NG or NaturalNG")
-    if eta is None or eta <= 0.0:
-        raise ValueError("eta must be an explicit positive stepsize")
-    L = np.array(L0, dtype=float)
+    _check_positive("eta", eta)
+    _check_inner_method(inner_flavor, inner_alpha, "inner_alpha")
+    L = linalg.as_matrix(L0, game.m2, game.d, "L0").copy()
+    if K0 is not None:
+        K0 = linalg.as_matrix(K0, game.m1, game.d, "K0")
     if estimator is None:
         engine = RolloutEngine(game, cfg.seed)
         if K0 is None:
@@ -618,7 +680,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     for t in range(T + 1):
         try:
             est = estimator(L)
-        except SampleError as e:
+        except (SampleError, ConvergenceError) as e:
             e.trace = trace  # partial progress travels with the failure
             raise
         if flavor == outer_loop.NG:

@@ -1,5 +1,6 @@
 """Zeroth-order estimation and the sampled-data solvers."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,8 +118,21 @@ def _loop_with_radius(rng, d, rho):
     return Q @ T @ Q.T
 
 
+def _reference_radii(game, K, U, L):
+    """Spectral radii of the closed loops A - C L - B (K + u), one eigvals
+    call per perturbation u in U."""
+    return np.array([linalg.spectral_radius(game.A - game.C @ L - game.B @ (K + u)) for u in U])
+
+
+def _identity_loops_game(d):
+    """A game whose closed loop A - C L - B K is K itself (A = 0, B = -I,
+    C = 0), so the screen can be fed given closed loops as gains."""
+    return lq.LqGame(A=np.zeros((d, d)), B=-np.eye(d), C=np.zeros((d, 1)), Q=np.eye(d),
+                     Ru=np.eye(d), Rv=np.eye(1), Sigma0=np.eye(d))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_schur_cohn_screen_matches_eigvals_at_the_margin(d):
+def test_schur_cohn_screen_matches_eigvals_at_the_margin(d, monkeypatch):
     # radii 1e-12 to 1e-8 either side of the margin, 100 draws each
     rng = np.random.default_rng([d, 2026])
     deltas = np.logspace(-12, -8, 9)
@@ -126,18 +140,21 @@ def test_schur_cohn_screen_matches_eigvals_at_the_margin(d):
     Acl = np.array([_loop_with_radius(rng, d, rho) for rho in rhos])
     want = mf._eig_radii(Acl) < EDGE
     assert np.array_equal(want, rhos < EDGE)  # eigvals resolves every draw
-    screen = mf._Screen(Acl)
-    assert screen.coef is not None  # the Schur-Cohn branch
-    assert np.array_equal(screen.stable, want)
+    eng = mf.RolloutEngine(_identity_loops_game(d), 0)
+    monkeypatch.setattr(mf, "_eig_radii", None)  # the Schur-Cohn branch alone
+    stable, near = eng._screen(Acl[None], np.zeros((1, 1, d)))
+    assert near is None
+    assert np.array_equal(stable[0], want)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 0.8])
 def test_schur_cohn_screen_matches_eigvals_on_sampled_gains(g1, k1_at_zero, r):
     eng = mf.RolloutEngine(g1, 31)
     U = eng.draw_perturbations(150_000, g1.m1, g1.d, r)
-    Acl = eng._closed_loops((k1_at_zero + U)[None], np.full((1, 1, 3), 0.1))[0]
+    L = np.full((1, 1, 3), 0.1)
+    Acl = eng._closed_loops((k1_at_zero + U)[None], L)[0]
     want = mf._eig_radii(Acl) < EDGE
-    assert np.array_equal(mf._Screen(Acl).stable, want)
+    assert np.array_equal(eng._screen((k1_at_zero + U)[None], L)[0][0], want)
     if r == 0.8:
         assert 100 <= np.count_nonzero(~want) < want.size
 
@@ -146,9 +163,95 @@ def test_estimate_inner_rho_max_is_the_largest_sampled_radius(g1, k1_at_zero):
     m, r, L = 5000, 0.3, np.zeros((1, 3))
     est = mf.RolloutEngine(g1, 8).estimate_inner(k1_at_zero, L, m, 5, r)
     U = mf.RolloutEngine(g1, 8).draw_perturbations(m, g1.m1, g1.d, r)
-    radii = [linalg.spectral_radius(g1.A - g1.B @ (k1_at_zero + u)) for u in U]
-    assert int(np.argmax(radii)) % mf.RHO_PROBE_STRIDE != 0  # not a probe sample
-    assert est.rho_max == max(radii)
+    radii = _reference_radii(g1, k1_at_zero, U, L)
+    top = int(np.argmax(radii))
+    assert top % mf.RHO_PROBE_STRIDE != 0  # not a probe sample
+    assert top >= 2 * _slice_size(g1)  # nor in the first two chunks
+    assert est.rho_max == radii.max()
+
+
+def _destabilizing_message(i, k, rho, r):
+    return (f"perturbed gain {i} of {k} is destabilizing (rho = {rho:.6f}); shrink the "
+            f"smoothing radius r (currently {r:g}) or move to a better-conditioned pair")
+
+
+def test_estimate_inner_reports_a_first_failure_beyond_the_first_chunk(g1, k1_at_zero):
+    # at r = 0.763 about one gain in 2000 destabilizes; on seed 9 the first
+    # lies in the third chunk and two more in the fifth
+    m, r, L = 8000, 0.763, np.zeros((1, 3))
+    U = mf.RolloutEngine(g1, 9).draw_perturbations(m, g1.m1, g1.d, r)
+    radii = _reference_radii(g1, k1_at_zero, U, L)
+    bad = np.flatnonzero(radii >= EDGE)
+    assert len(bad) >= 2 and bad[0] // _slice_size(g1) == 2
+    with pytest.raises(lq.SampleError) as exc:
+        mf.RolloutEngine(g1, 9).estimate_inner(k1_at_zero, L, m, 10, r)
+    assert exc.value.index == bad[0]
+    assert str(exc.value) == _destabilizing_message(bad[0], m, radii[bad[0]], r)
+
+
+def test_lockstep_reports_a_failing_solve_in_a_later_chunk(g1, k1_at_zero):
+    # 12 solves of k = 500 trajectories, three to a chunk; at r = 0.76 on
+    # seed 2 only solve 11, in the fourth chunk, draws a destabilizing gain
+    n, k, r = 12, 500, 0.76
+    eng = mf.RolloutEngine(g1, 2)
+    Ls = np.zeros((1, 3)) + eng.draw_perturbations(n, g1.m2, g1.d, 0.02)
+    streams = 2 * np.arange(n)
+    ref, first = mf.RolloutEngine(g1, 2), None
+    for i in range(n):
+        U = mf._sphere(ref._generator(streams[i]), k, g1.m1, g1.d, r)
+        radii = _reference_radii(g1, k1_at_zero, U, Ls[i])
+        bad = np.flatnonzero(radii >= EDGE)
+        if bad.size:
+            first = (i, int(bad[0]), radii[bad[0]])
+            break
+    assert first is not None and first[0] // (_slice_size(g1) // k) == 3
+    K, error = eng._inner_solves(k1_at_zero, Ls, streams, k, 10, r, 1, 1e-3, lq.PG)
+    assert error[0] == first[0]
+    assert error[1].index == first[1]
+    assert str(error[1]) == "inner step 0: " + _destabilizing_message(first[1], k, first[2], r)
+
+
+def test_estimates_do_not_depend_on_the_chunk_size(g1, k1_at_zero, monkeypatch):
+    # estimate_inner and a lock-step outer run (PG inside, so no inner step
+    # reads Sigma) with chunks of 1820 and of 7 trajectories. Everything but
+    # the correlation sum is bit-equal; that sum adds chunk by chunk, so it
+    # agrees to roundoff.
+    L = np.zeros((1, 3))
+    cfg = lq.EstimatorConfig(m=12, R=40, r=0.02, seed=4)
+    kw = dict(T=1, eta=1e-3, inner_steps=2, inner_alpha=1e-3, inner_flavor=lq.PG,
+              K0=k1_at_zero)
+
+    def run():
+        est = mf.RolloutEngine(g1, 3).estimate_inner(k1_at_zero, L, 20_000, 100, 0.05)
+        err = _sample_error(mf.RolloutEngine(g1, 9).estimate_inner, k1_at_zero, L, 8000, 10,
+                            0.763)
+        return est, (err.index, str(err)), lq.outer_ng_modelfree(g1, L, cfg, **kw)
+
+    a = run()
+    monkeypatch.setattr(mf, "ROLLOUT_SLICE_ENTRIES", 63)
+    b = run()
+    for name in ("grad", "cost_mean", "cost_std", "rho_max"):
+        assert np.array_equal(getattr(a[0], name), getattr(b[0], name))
+    assert _rel(a[0].Sigma, b[0].Sigma) <= 1e-14
+    assert a[1] == b[1]
+    assert np.array_equal(a[2][0], b[2][0])
+    assert a[2][1].to_csv() == b[2][1].to_csv()
+
+
+def test_estimate_inner_memory_stays_within_its_chunks(g1, k1_at_zero):
+    # beyond its draws, its perturbed gains and its costs, an estimate holds
+    # a chunk's work arrays at a time; a screen over the whole (m, d, d) stack
+    # of closed loops peaked at 5x the draws
+    m, L = 50_000, np.zeros((1, 3))
+    eng = mf.RolloutEngine(g1, 0)
+    tracemalloc.start()
+    try:
+        eng.estimate_inner(k1_at_zero, L, m, 100, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws = 8 * m * (g1.m1 * g1.d + g1.d)  # U (m, m1, d) and x0 (m, d)
+    assert peak <= 3 * draws
 
 
 def test_estimate_inner_screens_larger_games_by_eigvals(monkeypatch):
@@ -168,16 +271,14 @@ def test_estimate_inner_screens_larger_games_by_eigvals(monkeypatch):
     m, verdicts = 400, []
     for r in (0.2, 0.5, 1.0):
         U = mf.RolloutEngine(game, 5).draw_perturbations(m, 1, d, r)
-        radii = np.array([linalg.spectral_radius(game.A - game.B @ (K + u)) for u in U])
+        radii = _reference_radii(game, K, U, L)
         bad = np.flatnonzero(radii >= EDGE)
         try:
             est = mf.RolloutEngine(game, 5).estimate_inner(K, L, m, 10, r)
         except lq.SampleError as e:
             i = int(bad[0])
             assert e.index == i
-            assert str(e) == (f"perturbed gain {i} of {m} is destabilizing "
-                              f"(rho = {radii[i]:.6f}); shrink the smoothing radius r "
-                              f"(currently {r:g}) or move to a better-conditioned pair")
+            assert str(e) == _destabilizing_message(i, m, radii[i], r)
             verdicts.append(i)
         else:
             assert not bad.size
@@ -293,9 +394,56 @@ def test_inner_modelfree_rejects_gauss_newton(g1, k1_at_zero):
     with pytest.raises(lq.ConfigError):
         lq.outer_ng_modelfree(g1, np.zeros((1, 3)), lq.EstimatorConfig(), 2, 0.1,
                               flavor=lq.GAUSS_NEWTON_NG)
-    with pytest.raises(ValueError):
+    with pytest.raises(lq.ConfigError):
         lq.inner_ng_modelfree(g1, np.zeros((1, 3)), k1_at_zero,
                               lq.EstimatorConfig(), 5, None)
+
+
+def test_modelfree_diverging_inner_step_is_a_typed_error(g1, k1_at_zero):
+    # alpha = 1e300 sends K past where K^T Ru K overflows: the step is
+    # refused, naming it, before any overflow warning
+    L = np.zeros((1, 3))
+    cfg = lq.EstimatorConfig(m=50, R=100, r=0.02, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flavor in (lq.PG, lq.NATURAL_PG):
+            with pytest.raises(lq.ConvergenceError, match="inner step 0 diverged") as exc:
+                lq.inner_ng_modelfree(g1, L, k1_at_zero, cfg, 3, 1e300, flavor=flavor)
+            assert exc.value.iterations == 0
+            # under the outer loop the same failure carries the partial trace
+            with pytest.raises(lq.ConvergenceError, match="inner step 0 diverged") as exc:
+                lq.outer_ng_modelfree(g1, L, lq.EstimatorConfig(m=8, R=40, r=0.02), 2, 1e-3,
+                                      inner_steps=2, inner_alpha=1e300, inner_flavor=flavor,
+                                      K0=k1_at_zero)
+            assert isinstance(exc.value.trace, lq.OuterTrace) and exc.value.trace.rows == []
+        # a large but finite step is a destabilizing sample, again without warnings
+        with pytest.raises(lq.SampleError, match="inner step 1: perturbed gain 0"):
+            lq.inner_ng_modelfree(g1, L, k1_at_zero, cfg, 3, 1e120, flavor=lq.PG)
+
+
+@pytest.mark.parametrize("case,error", [
+    ("K_nan", ValueError), ("K_shape", lq.DimensionError), ("L_shape", lq.DimensionError),
+    ("K_warm_shape", lq.DimensionError), ("K0_nan", ValueError),
+    ("outer_L0_shape", lq.DimensionError), ("outer_K0_shape", lq.DimensionError)])
+def test_modelfree_gains_are_checked_at_the_boundary(g1, k1_at_zero, case, error):
+    L = np.zeros((1, 3))
+    eng = mf.RolloutEngine(g1, 0)
+    small = lq.EstimatorConfig(m=5, R=10, r=0.02)
+    calls = {
+        "K_nan": lambda: eng.estimate_inner(np.full((1, 3), np.nan), L, 10, 10, 0.05),
+        "K_shape": lambda: eng.estimate_inner(np.zeros((2, 3)), L, 10, 10, 0.05),
+        "L_shape": lambda: eng.estimate_inner(k1_at_zero, np.zeros((1, 2)), 10, 10, 0.05),
+        "K_warm_shape": lambda: eng.estimate_outer(L, np.zeros((1, 4)), 5, 10, 0.02, 1,
+                                                   1e-3, lq.PG),
+        "K0_nan": lambda: lq.inner_ng_modelfree(g1, L, np.full((1, 3), np.nan), small, 1, 0.05),
+        "outer_L0_shape": lambda: lq.outer_ng_modelfree(g1, np.zeros((2, 3)), small, 1, 1e-3,
+                                                        K0=k1_at_zero),
+        "outer_K0_shape": lambda: lq.outer_ng_modelfree(g1, L, small, 1, 1e-3,
+                                                        K0=np.zeros((3, 1))),
+    }
+    with pytest.raises(error):
+        calls[case]()
+    assert eng._stream == 0
 
 
 # -- sampled-data convergence (reduced budgets, deterministic seeds) ----------
@@ -539,7 +687,9 @@ def test_rollout_switches_to_doubling_at_its_crossover():
 
 @pytest.mark.parametrize("case", ["m_zero", "R_zero", "R_float", "r_zero",
                                   "inner_steps_negative", "T_negative", "steps_negative",
-                                  "config_m_zero", "config_R_float", "config_r_zero"])
+                                  "config_m_zero", "config_R_float", "config_r_zero",
+                                  "alpha_nan", "alpha_negative", "inner_alpha_inf",
+                                  "estimate_outer_inner_alpha_zero", "eta_nan", "eta_none"])
 def test_estimator_budgets_are_checked_at_the_boundary(g1, k1_at_zero, case):
     L = np.zeros((1, 3))
     eng = mf.RolloutEngine(g1, 0)
@@ -556,6 +706,15 @@ def test_estimator_budgets_are_checked_at_the_boundary(g1, k1_at_zero, case):
         "config_m_zero": lambda: lq.EstimatorConfig(m=0),
         "config_R_float": lambda: lq.EstimatorConfig(R=10.0),
         "config_r_zero": lambda: lq.EstimatorConfig(r=0.0),
+        "alpha_nan": lambda: lq.inner_ng_modelfree(g1, L, k1_at_zero, small, 1, float("nan")),
+        "alpha_negative": lambda: lq.inner_ng_modelfree(g1, L, k1_at_zero, small, 1, -0.05),
+        "inner_alpha_inf": lambda: lq.outer_ng_modelfree(g1, L, small, 1, 1e-3,
+                                                         inner_alpha=float("inf"),
+                                                         K0=k1_at_zero),
+        "estimate_outer_inner_alpha_zero": lambda: eng.estimate_outer(L, k1_at_zero, 5, 10,
+                                                                      0.02, 1, 0.0, lq.PG),
+        "eta_nan": lambda: lq.outer_ng_modelfree(g1, L, small, 1, float("nan"), K0=k1_at_zero),
+        "eta_none": lambda: lq.outer_ng_modelfree(g1, L, small, 1, None, K0=k1_at_zero),
     }
     with pytest.raises(lq.ConfigError):
         calls[case]()
