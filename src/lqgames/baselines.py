@@ -75,7 +75,7 @@ def _l_direction(game, ev, flavor):
 
 def _evaluate_at(game, K, L, where):
     try:
-        return policy.evaluate(game, policy.PolicyPair(K=K, L=L))
+        return policy.evaluate(game, policy.PolicyPair._trusted(K, L))
     except UnstableError as e:
         raise UnstableError(f"stability lost at {where} (rho = {e.rho:.6f})",
                             rho=e.rho) from e
@@ -94,12 +94,12 @@ def run_ag(game, pi0, cfg):
     for t in range(cfg.max_outer + 1):
         for j in range(cfg.inner_iters):
             ev = _evaluate_at(game, K, L, f"outer step {t}, inner step {j}")
-            if cfg.inner_tol > 0.0 and np.linalg.norm(ev.gradK, "fro") <= cfg.inner_tol:
+            if cfg.inner_tol > 0.0 and linalg.fro(ev.gradK) <= cfg.inner_tol:
                 break
             K = inner_loop._step_from_eval(game, K, ev, icfg)
         ev = _evaluate_at(game, K, L, f"outer step {t}, after inner loop")
         D = _l_direction(game, ev, cfg.flavor)
-        map_norm = 0.5 * float(np.linalg.norm(D, "fro"))
+        map_norm = 0.5 * linalg.fro(D)
         trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho,
                                grad_map_norm=map_norm, K=K, gradK=ev.gradK))
         if map_norm <= cfg.tol:
@@ -124,7 +124,7 @@ def run_gda(game, pi0, cfg):
     for t in range(cfg.max_outer + 1):
         ev = _evaluate_at(game, K, L, f"step {t}")
         D = _l_direction(game, ev, cfg.flavor)
-        map_norm = 0.5 * float(np.linalg.norm(D, "fro"))
+        map_norm = 0.5 * linalg.fro(D)
         trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho,
                                grad_map_norm=map_norm, K=K, gradK=ev.gradK))
         if max(trace.rows[-1].grad_k_norm, trace.rows[-1].grad_norm) <= cfg.tol:

@@ -20,6 +20,7 @@ the discrete Riccati equation with input [B C] and weight diag(Ru, -Rv), by
 linalg.solve_dare: doubling, then Newton steps.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -65,6 +66,14 @@ class LqGame:
                 val = val.copy()  # freeze a copy, not the caller's array
             val.flags.writeable = False
             object.__setattr__(self, field, val)
+
+    @functools.cached_property
+    def _rv_roots(self):
+        """(Rv^{1/2}, Rv^{-1/2}), read-only, taken once per game for the projection."""
+        roots = linalg.sym_sqrt_and_inv_sqrt(self.Rv, name="Rv")
+        for M in roots:
+            M.flags.writeable = False
+        return roots
 
     @property
     def d(self):
@@ -196,8 +205,9 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
         raise ValueError("tol must be positive")
     R = np.block([[game.Ru, np.zeros((game.m1, game.m2))],
                   [np.zeros((game.m2, game.m1)), -game.Rv]])
+    # Ru and Rv are PD (LqGame checked them), so R's inertia is (m1, m2)
     P, iterations = linalg.solve_dare(game.A, np.hstack([game.B, game.C]), game.Q, R, tol,
-                                      max_steps=max_iter)
+                                      max_steps=max_iter, inertia=(game.m1, game.m2))
     Pcheck, K, L = _gare_map(game, P)
     residual = float(np.linalg.norm(Pcheck - P, "fro"))
     bound = max(tol, 64.0 * np.finfo(float).eps * np.linalg.norm(game.A, "fro") ** 2

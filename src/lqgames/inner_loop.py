@@ -112,11 +112,14 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_M
     if P0 is not None:
         P0 = linalg.symmetrize(P0, name="P0")
     try:
-        P, iterations = linalg.solve_dare(At, B, Qt, Ru, tol, X0=P0, max_steps=max_iter)
+        # Ru is PD (LqGame checked it), so its inertia is (m1, 0)
+        P, iterations = linalg.solve_dare(At, B, Qt, Ru, tol, X0=P0, max_steps=max_iter,
+                                          inertia=(game.m1, 0))
     except ConvergenceError as e:
         _raise_inner_domain(game, L, e.iterations, e.residual, str(e))
     K = np.linalg.solve(Ru + B.T.dot(P).dot(B), B.T.dot(P).dot(At))
-    ev = policy.evaluate(game, policy.PolicyPair(K=K, L=L))  # raises UnstableError if unstable
+    # raises UnstableError if unstable
+    ev = policy.evaluate(game, policy.PolicyPair._trusted(K, L))
     row = trace_row(game, 0, L, float(np.trace(P.dot(game.Sigma0))), ev.gradK, ev.rho, K=K,
                     margin=linalg.min_eigenvalue_sym(Qt))
     return InnerResult(K=K, P=P, iterations=iterations, final_grad_norm=row.grad_norm,
@@ -171,7 +174,7 @@ def solve_inner(game, L, K0, cfg):
     trace = []
     for t in range(cfg.max_iter + 1):
         try:
-            ev = policy.evaluate(game, policy.PolicyPair(K=K, L=L))
+            ev = policy.evaluate(game, policy.PolicyPair._trusted(K, L))
         except UnstableError as e:
             raise UnstableError(
                 f"inner loop lost stability at iteration {t} "

@@ -2,17 +2,25 @@
 
 All routines operate on float64 numpy arrays. Symmetric outputs are
 explicitly symmetrized. Input is checked once, where it enters the package:
-LqGame, PolicyPair and the public solver entry points reject non-finite,
-misshapen or asymmetric arrays through as_matrix and symmetrize. The kernels
-trust the arrays the package built (symmetric ones exactly symmetric); only
-solve_dlyap checks its own. The small-d paths multiply with ndarray.dot, not
-@: it calls the same BLAS routine, so the floats are the same, at about half
-the cost for 3 x 3 operands.
+LqGame, a caller's PolicyPair and the public solver entry points (evaluate,
+solve_inner, solve_inner_riccati with its P0, solve_nested, run_ag, run_gda,
+solve_gare) reject non-finite, misshapen or asymmetric arrays through
+as_matrix and symmetrize. Everything else here trusts the arrays the package
+built (symmetric ones exactly symmetric): spectral_radius,
+min_eigenvalue_sym, require_stable, solve_dlyap_transpose, riccati_doubling,
+solve_dare (whose callers also pass R's inertia, known from LqGame's PD
+checks), svd, sym_sqrt_and_inv_sqrt and fro. Only solve_dlyap checks its
+own. The small-d paths multiply with ndarray.dot, not @: it calls the same
+BLAS routine, so the floats are the same, at about half the cost for 3 x 3
+operands.
 
 Both Riccati solvers (the game oracle and the inner best response) call one
 routine, solve_dare: structure-preserving doubling from zero or a warm start,
 then Newton steps, each a Lyapunov solve.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -34,6 +42,8 @@ DOUBLING_MAX_STEPS = 64
 # Newton steps after the doubling or warm start converge quadratically; a
 # solve that needs more than this many is not converging.
 DARE_MAX_STEPS = 100
+# A Newton step at most NEWTON_STOP ||X||_F is at roundoff (see solve_dare).
+NEWTON_STOP = np.sqrt(np.finfo(float).eps)
 
 
 def as_matrix(M, rows=None, cols=None, name="matrix"):
@@ -48,6 +58,20 @@ def as_matrix(M, rows=None, cols=None, name="matrix"):
     if cols is not None and M.shape[1] != cols:
         raise DimensionError(f"{name}: expected {cols} cols, got {M.shape[1]}")
     return M
+
+
+@functools.cache
+def _eye(n):
+    """The n x n identity, made once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def fro(M):
+    """Frobenius norm: the floats of np.linalg.norm(M, "fro") without its wrapper."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def symmetrize(M, name="matrix"):
@@ -93,7 +117,7 @@ def _dlyap_transpose_direct(Acl, W):
     # broadcast product forms the same Kronecker entries as np.kron, faster
     d = Acl.shape[0]
     At = Acl.T
-    lhs = np.eye(d * d) - (At[:, None, :, None] * At[None, :, None, :]).reshape(d * d, d * d)
+    lhs = _eye(d * d) - (At[:, None, :, None] * At[None, :, None, :]).reshape(d * d, d * d)
     X = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
     return 0.5 * (X + X.T)
 
@@ -147,7 +171,7 @@ def riccati_doubling(A, G, H):
     ||A_k||_F^2 <= 1e-16 and returns (X, doublings). A singular W, a
     non-finite iterate or the step cap raise ConvergenceError.
     """
-    eye = np.eye(A.shape[0])
+    eye = _eye(A.shape[0])
     for k in range(1, DOUBLING_MAX_STEPS + 1):
         try:
             # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
@@ -179,7 +203,7 @@ def _inertia(M):
     return np.count_nonzero(ev > 0.0), np.count_nonzero(ev < 0.0)
 
 
-def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS):
+def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS, inertia=None):
     """Stabilizing solution of the discrete algebraic Riccati equation
 
         X = H + A^T X A - A^T X B (R + B^T X B)^{-1} B^T X A,
@@ -191,19 +215,21 @@ def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS):
     K = (R + B^T X B)^{-1} B^T X A, the next X solves the Lyapunov equation
     X = (A - BK)^T X (A - BK) + H + K^T R K, which is the exact value of the
     policy K. Every step first checks that R + B^T X B keeps the inertia of
-    R, which a bad warm start breaks. Newton converges quadratically, so the
-    error left after a step of ||dX||_F <= max(tol, sqrt(eps) ||X||_F) is at
-    roundoff; the first such step stops the solve. Returns (X, iterations),
-    iterations counting doublings plus Newton steps, of which max_steps
-    caps the latter. Failures raise ConvergenceError.
+    R, which a bad warm start breaks; callers that know R's inertia pass it
+    as inertia, else it is counted from R's eigenvalues. Newton converges
+    quadratically, so the error left after a step of
+    ||dX||_F <= max(tol, sqrt(eps) ||X||_F) is at roundoff; the first such
+    step stops the solve. Returns (X, iterations), iterations counting
+    doublings plus Newton steps, of which max_steps caps the latter.
+    Failures raise ConvergenceError.
     """
-    inertia = _inertia(R)
+    if inertia is None:
+        inertia = _inertia(R)
     if X0 is None:
         G = B @ np.linalg.solve(R, B.T)
         X, doublings = riccati_doubling(A, 0.5 * (G + G.T), H)
     else:
         X, doublings = X0, 0
-    floor = np.sqrt(np.finfo(float).eps)
     step = np.inf
     for k in range(1, max_steps + 1):
         BtX = B.T.dot(X)
@@ -220,12 +246,12 @@ def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS):
         except np.linalg.LinAlgError as e:
             raise ConvergenceError(f"solve_dare: singular Lyapunov system at Newton step {k}",
                                    residual=step, iterations=doublings + k) from e
-        step = float(np.linalg.norm(Xn - X, "fro"))
+        step = fro(Xn - X)
         X = Xn
         if not np.isfinite(step):
             raise ConvergenceError(f"solve_dare: non-finite iterate at Newton step {k}",
                                    residual=step, iterations=doublings + k)
-        if step <= max(tol, floor * np.linalg.norm(X, "fro")):
+        if step <= max(tol, NEWTON_STOP * fro(X)):
             return X, doublings + k
     raise ConvergenceError(
         f"solve_dare: Newton step {step:.3e} above the stop after {max_steps} steps",

@@ -130,7 +130,7 @@ def project_omega(L, omega, game):
     L = np.asarray(L, dtype=float)
     if omega.margin(L, game) >= -INTERIOR_SLACK:
         return L
-    rv_h, rv_ih = linalg.sym_sqrt_and_inv_sqrt(game.Rv)
+    rv_h, rv_ih = game._rv_roots
     m_h, m_ih = omega.roots
     U, s, V = linalg.svd(rv_h @ L @ m_ih)
     s = np.minimum(s, 1.0)
@@ -232,7 +232,7 @@ def solve_nested(game, L0, cfg, omega=None):
         D, eta = _direction(game, ev, cfg)
         ascent_step(game, t, trace, L, eta, D)  # projected_step takes the same step
         Lp, mapping, proj_active = projected_step(game, L, D, eta, omega)
-        map_norm = float(np.linalg.norm(mapping, "fro"))
+        map_norm = linalg.fro(mapping)
         trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho, grad_map_norm=map_norm,
                                proj_active=proj_active, K=inner_res.K,
                                margin=inner_res.trace[-1].lambda_min_qtilde))  # at this L

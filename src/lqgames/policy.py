@@ -11,6 +11,11 @@ The policy gradients factor through the half-gradient matrices
 
     E = (Ru + B^T P B) K - B^T P (A - CL),    grad_K = 2 E Sigma,
     F = (-Rv + C^T P C) L - C^T P (A - BK),   grad_L = 2 F Sigma.
+
+A PolicyPair built by a caller is checked (finite 2-d gains) and frozen as
+copies. The nested, AG and GDA loops hand evaluate the gains they computed
+themselves through the private PolicyPair._trusted, which skips that check
+and the copy; evaluate checks the gains' shapes against the game either way.
 """
 
 from dataclasses import dataclass
@@ -39,6 +44,14 @@ class PolicyPair:
                 val = val.copy()  # freeze a copy, not the caller's array
             val.flags.writeable = False
             object.__setattr__(self, field, val)
+
+    @classmethod
+    def _trusted(cls, K, L):
+        """A pair around package-built float64 gains, unchecked and uncopied."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "K", K)
+        object.__setattr__(pi, "L", L)
+        return pi
 
     def check_dims(self, game):
         if self.K.shape != (game.m1, game.d):
@@ -103,8 +116,8 @@ def check_stationary(game, pi, tol):
     and (-Rv + C^T P C) is invertible (sigma_min >= 1e-12).
     """
     ev = evaluate(game, pi)
-    gk = float(np.linalg.norm(ev.gradK, "fro"))
-    gl = float(np.linalg.norm(ev.gradL, "fro"))
+    gk = linalg.fro(ev.gradK)
+    gl = linalg.fro(ev.gradL)
     p_min = linalg.min_eigenvalue_sym(ev.P)
     s_min = linalg.min_eigenvalue_sym(ev.Sigma)
     block = -game.Rv + game.C.T @ ev.P @ game.C

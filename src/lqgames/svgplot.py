@@ -7,12 +7,17 @@ bytes.
 """
 
 import math
-from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 720, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 44, 52
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def escape(text):
+    """Escape &, < and > for SVG text. xml.sax.saxutils.escape makes the same
+    bytes, but importing it loads urllib, http.client, ssl and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import qtilde_min
+from .linalg import fro
 
 CSV_HEADER = "t,cost,grad_map_norm,grad_norm,lambda_min_qtilde,rho,proj_active"
 
@@ -48,7 +49,7 @@ def trace_row(game, t, L, cost, grad, rho, grad_map_norm=None, proj_active=False
     margin is lambda_min(Q - L^T Rv L); loops over a fixed L pass it in
     rather than recompute it per row.
     """
-    grad_norm = float(np.linalg.norm(grad, "fro"))
+    grad_norm = fro(grad)
     return TraceRow(
         t=t, cost=cost,
         grad_map_norm=0.5 * grad_norm if grad_map_norm is None else grad_map_norm,
@@ -56,7 +57,7 @@ def trace_row(game, t, L, cost, grad, rho, grad_map_norm=None, proj_active=False
         lambda_min_qtilde=qtilde_min(game, L) if margin is None else margin,
         rho=rho, proj_active=proj_active,
         K=None if K is None else K.copy(), L=L.copy(),
-        grad_k_norm=None if gradK is None else float(np.linalg.norm(gradK, "fro")))
+        grad_k_norm=None if gradK is None else fro(gradK))
 
 
 def _f(x):

@@ -169,7 +169,8 @@ def test_validation_rejects_bad_input():
                   Q=-np.eye(2), Ru=np.eye(2), Rv=np.eye(2), Sigma0=np.eye(2))
 
 
-@pytest.mark.parametrize("case", ["nan_gain", "L0_shape", "P0_asymmetric", "Q_not_pd"])
+@pytest.mark.parametrize("case", ["nan_gain", "L0_shape", "P0_asymmetric", "Q_not_pd",
+                                  "P0_nonfinite", "pair_shape"])
 def test_public_boundaries_reject_bad_input(g1, case):
     # the kernels behind these entry points no longer check their arrays
     L = np.zeros((1, 3))
@@ -181,10 +182,20 @@ def test_public_boundaries_reject_bad_input(g1, case):
                           lambda: lq.solve_inner_riccati(g1, L, P0=np.triu(np.ones((3, 3))))),
         "Q_not_pd": (ValueError, lambda: lq.LqGame(A=g1.A, B=g1.B, C=g1.C, Q=-np.eye(3),
                                                    Ru=g1.Ru, Rv=g1.Rv, Sigma0=g1.Sigma0)),
+        "P0_nonfinite": (ValueError,
+                         lambda: lq.solve_inner_riccati(g1, L, P0=np.full((3, 3), np.nan))),
+        "pair_shape": (lq.DimensionError,
+                       lambda: lq.evaluate(g1, lq.PolicyPair(K=np.zeros((2, 3)), L=L))),
     }
     error, call = calls[case]
     with pytest.raises(error):
         call()
+
+
+def test_unchecked_pair_constructor_stays_private():
+    # PolicyPair._trusted skips the boundary checks, for the package's own gains
+    assert not any("trusted" in name for name in lq.__all__ + dir(lq))
+    assert len(lq.__all__) == 53
 
 
 def test_open_loop_case1_is_unstable(g1):

@@ -155,6 +155,29 @@ def test_solve_dare_failures_are_typed():
     assert exc.value.iterations == 0
 
 
+def test_solve_dare_with_the_callers_inertia_gives_the_same_floats(g1):
+    # the game and inner solves pass R's inertia instead of counting it
+    rng = np.random.default_rng(12)
+    problems = [(g1.A, np.hstack([g1.B, g1.C]), g1.Q, np.diag([1.0, -1.0]), (1, 1))]
+    for d, m in ((2, 1), (4, 2), (6, 2)):
+        B = rng.normal(size=(d, m))
+        problems.append((random_stable(rng, d, radius=1.2), B, np.eye(d),
+                         random_psd(rng, m) + np.eye(m), (m, 0)))
+    for A, B, H, R, inertia in problems:
+        X, _ = lin.solve_dare(A, B, H, R, 1e-12)
+        for X0 in (None, X + 1e-3 * np.eye(len(A))):
+            want = lin.solve_dare(A, B, H, R, 1e-12, X0=X0)
+            got = lin.solve_dare(A, B, H, R, 1e-12, X0=X0, inertia=inertia)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+def test_fro_is_numpys_frobenius_norm_bit_for_bit():
+    rng = np.random.default_rng(13)
+    M = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-8, 9, size=(5, 4))
+    for X in (M, np.asfortranarray(M), M.T, M[:, ::2], M[:1], rng.normal(size=(1, 7))):
+        assert lin.fro(X) == float(np.linalg.norm(X, "fro"))
+
+
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableError):
         lin.solve_dlyap(np.diag([1.01, 0.2, 0.2]), np.eye(3))

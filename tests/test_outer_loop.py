@@ -1,5 +1,6 @@
 """Outer maximizer loop: directions, projection, and nested convergence."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import lqgames as lq
-from lqgames import outer_loop
+from lqgames import linalg, outer_loop
 
 from conftest import load_perfbench
 
@@ -135,6 +136,23 @@ def test_projected_step_computes_the_candidates_margin_once(g1, nash1, monkeypat
         assert len(calls) == 1 and proj_active == active
         assert np.array_equal(Lp, lq.project_omega(L + eta * D, om, g1))
         assert np.array_equal(mapping, (Lp - L) / (2.0 * eta))
+
+
+def test_projected_case2_takes_rv_roots_once_per_game(monkeypatch):
+    # 259 of the 269 steps project; each took Rv's square roots anew before
+    game = lq.case2()  # a fresh game: the roots are kept on it
+    om = lq.OmegaSet.for_game(game, nash=lq.solve_gare(game))
+    calls = []
+    roots = linalg.sym_sqrt_and_inv_sqrt
+    monkeypatch.setattr(linalg, "sym_sqrt_and_inv_sqrt",
+                        lambda M, *a, **kw: calls.append(M) or roots(M, *a, **kw))
+    cfg = lq.OuterConfig(variant=lq.NG, tol=1e-7, projection=lq.PROJECTION_WHITENED_SV_CLIP)
+    _, trace = lq.solve_nested(game, np.zeros((1, 3)), cfg, om)
+    assert trace.converged and sum(r.proj_active for r in trace.rows) == 259
+    assert len(calls) == 1 and calls[0] is game.Rv
+    # the same bytes as when every projection took the roots itself
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == (
+        "9c3e97b78806fa2b5b3ff7197d7063ef9158e1260a2b19500139acfea0cea1a6")
 
 
 def test_outer_step_directions(g1):

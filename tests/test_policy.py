@@ -1,5 +1,7 @@
 """Policy evaluation against scalar closed forms and finite differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,26 @@ def test_check_stationary(g1, nash1):
     pi = random_stabilizing_pairs(g1, np.random.default_rng(5), 1)[0]
     ok, report = lq.check_stationary(g1, pi, tol=1e-7)
     assert not ok and not report.is_stationary
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_trusted_pair_evaluates_bit_for_bit_like_a_checked_one(m1, m2):
+    # the loops hand evaluate their own gains through PolicyPair._trusted
+    rng = np.random.default_rng(100 + 10 * m1 + m2)
+    for d in range(2, 7):
+        A = rng.normal(size=(d, d))
+        A *= 0.8 / np.max(np.abs(np.linalg.eigvals(A)))
+        V = rng.normal(size=(d, d))
+        game = lq.LqGame(A=A, B=rng.normal(size=(d, m1)), C=rng.normal(size=(d, m2)),
+                         Q=V @ V.T + np.eye(d), Ru=np.eye(m1), Rv=2.0 * np.eye(m2),
+                         Sigma0=np.eye(d))
+        K = 0.02 * rng.normal(size=(m1, d))
+        L = 0.02 * rng.normal(size=(m2, d))
+        want = lq.evaluate(game, lq.PolicyPair(K=K, L=L))
+        got = lq.evaluate(game, lq.PolicyPair._trusted(K, L))
+        for f in dataclasses.fields(lq.PolicyEval):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (d, f.name)
 
 
 def test_policy_pair_dimension_check(g1):
