@@ -13,7 +13,7 @@ variants and alternating-gradient / descent-ascent baselines.
 
 from .baselines import AG, GDA, BaselineConfig, run_ag, run_gda
 from .errors import (ConfigError, ConvergenceError, DefinitenessError,
-                     DimensionError, LqGamesError, NotSymmetricError,
+                     DimensionError, InputError, LqGamesError, NotSymmetricError,
                      SampleError, UnstableError)
 from .game import (AssumptionReport, LqGame, NashSolution, case1, case2,
                    check_assumptions, solve_gare)
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AG", "GDA", "BaselineConfig", "run_ag", "run_gda",
     "ConfigError", "ConvergenceError", "DefinitenessError", "DimensionError",
-    "LqGamesError", "NotSymmetricError", "SampleError", "UnstableError",
+    "InputError", "LqGamesError", "NotSymmetricError", "SampleError", "UnstableError",
     "AssumptionReport", "LqGame", "NashSolution", "case1", "case2",
     "check_assumptions", "solve_gare",
     "GAUSS_NEWTON", "NATURAL_PG", "PG", "RICCATI", "InnerConfig",

@@ -5,6 +5,11 @@ class LqGamesError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(LqGamesError, ValueError):
+    """An input value the package cannot take: non-finite entries, or a weight
+    that is not positive definite. A ValueError too, for callers catching that."""
+
+
 class DimensionError(LqGamesError):
     """Matrix dimensions inconsistent with the declared problem sizes."""
 

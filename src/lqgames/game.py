@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceError, DefinitenessError, DimensionError
+from .errors import ConvergenceError, DefinitenessError, DimensionError, InputError
 
 GARE_DEFAULT_TOL = 1e-10
 
@@ -60,7 +60,7 @@ class LqGame:
             checked[name] = M = linalg.symmetrize(M, name=name)
             lam = linalg.min_eigenvalue_sym(M)
             if lam <= 0.0:
-                raise ValueError(f"{name}: must be positive definite, min eigenvalue {lam:.3e}")
+                raise InputError(f"{name}: must be positive definite, min eigenvalue {lam:.3e}")
         for field, val in checked.items():
             if val is getattr(self, field):
                 val = val.copy()  # freeze a copy, not the caller's array

@@ -5,7 +5,8 @@ explicitly symmetrized. Input is checked once, where it enters the package:
 LqGame, a caller's PolicyPair and the public solver entry points (evaluate,
 solve_inner, solve_inner_riccati with its P0, solve_nested, run_ag, run_gda,
 solve_gare) reject non-finite, misshapen or asymmetric arrays through
-as_matrix and symmetrize. Everything else here trusts the arrays the package
+as_matrix and symmetrize (non-finite entries raise InputError, a ValueError
+as well as an LqGamesError). Everything else here trusts the arrays the package
 built (symmetric ones exactly symmetric): spectral_radius,
 min_eigenvalue_sym, require_stable, solve_dlyap_transpose, riccati_doubling,
 solve_dare (whose callers also pass R's inertia, known from LqGame's PD
@@ -14,9 +15,16 @@ own. The small-d paths multiply with ndarray.dot, not @: it calls the same
 BLAS routine, so the floats are the same, at about half the cost for 3 x 3
 operands.
 
+solve_dlyap_transpose is the one Lyapunov solver. Given a second weight it
+also solves the transposed equation, the pair of an evaluation, in one call:
+below d = 9 both Kronecker systems go to one batched LAPACK solve, whose
+floats are bit-identical to two single solves because each system gets the
+same factorization it gets alone; above, one Smith doubling loop updates both
+from the same powers of the closed loop.
+
 Both Riccati solvers (the game oracle and the inner best response) call one
 routine, solve_dare: structure-preserving doubling from zero or a warm start,
-then Newton steps, each a Lyapunov solve.
+one matrix inverse per doubling, then Newton steps, each a Lyapunov solve.
 """
 
 import functools
@@ -24,8 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import (ConvergenceError, DefinitenessError, DimensionError, NotSymmetricError,
-                     UnstableError)
+from .errors import (ConvergenceError, DefinitenessError, DimensionError, InputError,
+                     NotSymmetricError, UnstableError)
 
 SYM_TOL = 1e-12
 # Spectral radii in [1 - STABILITY_MARGIN, 1) are rejected as numerically marginal.
@@ -52,7 +60,7 @@ def as_matrix(M, rows=None, cols=None, name="matrix"):
     if M.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-d array, got ndim={M.ndim}")
     if not np.isfinite(M).all():
-        raise ValueError(f"{name}: non-finite entries")
+        raise InputError(f"{name}: non-finite entries")
     if rows is not None and M.shape[0] != rows:
         raise DimensionError(f"{name}: expected {rows} rows, got {M.shape[0]}")
     if cols is not None and M.shape[1] != cols:
@@ -112,44 +120,69 @@ def require_stable(Acl, context="closed loop", iteration=None):
     return rho
 
 
-def _dlyap_transpose_direct(Acl, W):
+def _dlyap_transpose_direct(Acl, W, S=None):
     # vec(Acl^T X Acl) = (Acl^T kron Acl^T) vec(X) in row-major flattening; the
     # broadcast product forms the same Kronecker entries as np.kron, faster
     d = Acl.shape[0]
+    n = d * d
     At = Acl.T
-    lhs = _eye(d * d) - (At[:, None, :, None] * At[None, :, None, :]).reshape(d * d, d * d)
-    X = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
-    return 0.5 * (X + X.T)
+    lhs = _eye(n) - (At[:, None, :, None] * At[None, :, None, :]).reshape(n, n)
+    if S is None:
+        X = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
+        return 0.5 * (X + X.T)
+    # the Y system's matrix I - Acl kron Acl is the transpose of the X system's:
+    # both go to one batched solve, which factors each as a lone solve would
+    # (filled in place: np.stack costs about what the second call would)
+    pair = np.empty((2, n, n))
+    pair[0] = lhs
+    pair[1] = lhs.T
+    rhs = np.empty((2, n, 1))
+    rhs[0, :, 0] = W.reshape(-1)
+    rhs[1, :, 0] = S.reshape(-1)
+    XY = np.linalg.solve(pair, rhs).reshape(2, d, d)
+    XY = 0.5 * (XY + XY.transpose(0, 2, 1))
+    return XY[0], XY[1]
 
 
-def _dlyap_transpose_doubling(Acl, W):
+def _dlyap_transpose_doubling(Acl, W, S=None):
     # Smith doubling: after k steps X = sum_{j < 2^k} (Acl^j)^T W Acl^j and Ak =
     # Acl^(2^k). The remaining tail is Ak^T X_inf Ak, so a small ||Ak|| bounds it
     # relative to X whatever the sign of W (the stage weight can be indefinite,
-    # which rules out stopping on a small increment).
-    X = W
+    # which rules out stopping on a small increment). Y = sum Acl^j S (Acl^j)^T
+    # takes the same powers, and its tail Ak Y_inf Ak^T the same bound.
+    X, Y = W, S
     Ak = Acl
     for _ in range(DOUBLING_MAX_STEPS):
         X = X + Ak.T @ X @ Ak
+        if S is not None:
+            Y = Y + Ak @ Y @ Ak.T
         Ak = Ak @ Ak
-        tail = float((Ak * Ak).sum())
+        v = Ak.ravel()
+        tail = float(v.dot(v))
         if tail <= DOUBLING_TOL:
-            return 0.5 * (X + X.T)
+            X = 0.5 * (X + X.T)
+            return X if S is None else (X, 0.5 * (Y + Y.T))
     raise ConvergenceError(
         f"solve_dlyap_transpose: Smith doubling left ||Acl^(2^k)||_F^2 = {tail:.3e} "
         f"after {DOUBLING_MAX_STEPS} doublings",
         residual=tail, iterations=DOUBLING_MAX_STEPS)
 
 
-def solve_dlyap_transpose(Acl, W):
+def solve_dlyap_transpose(Acl, W, S=None):
     """Solve X = Acl^T X Acl + W for stable Acl and exactly symmetric W.
 
-    Kronecker for d <= 8, Smith doubling above. Checks nothing, stability
-    included: policy.evaluate tests stability once for both of its solves.
+    Given an exactly symmetric S as well, also solve Y = Acl Y Acl^T + S and
+    return (X, Y): the pair policy.evaluate needs, in one call. Kronecker for
+    d <= 8, Smith doubling above. The pair's Kronecker systems go to one
+    batched np.linalg.solve, which runs the same LAPACK factorization on each
+    as two single calls would, so X and Y are bit-identical to them. Smith
+    doubling shares the powers Acl^(2^k) between X and Y, which moves Y in its
+    last bits against a lone solve on Acl^T. Checks nothing, stability
+    included: policy.evaluate tests stability once for the pair.
     """
     if Acl.shape[0] <= DLYAP_DIRECT_MAX_DIM:
-        return _dlyap_transpose_direct(Acl, W)
-    return _dlyap_transpose_doubling(Acl, W)
+        return _dlyap_transpose_direct(Acl, W, S)
+    return _dlyap_transpose_doubling(Acl, W, S)
 
 
 def solve_dlyap(Acl, W):
@@ -163,7 +196,8 @@ def riccati_doubling(A, G, H):
     """Structure-preserving doubling (SDA; Chu, Fan and Lin 2005) for the
     discrete Riccati equation X = H + A^T X (I + G X)^{-1} A, G and H symmetric.
 
-    Each doubling forms W = I + G H and
+    Each doubling inverts W = I + G H once (an inverse and two products cost
+    less than one solve against [A, G]) and forms
         A' = A W^{-1} A,   G' = G + A W^{-1} G A^T,   H' = H + A^T H W^{-1} A.
     H_k equals the fixed-point iterate after 2^k steps from X = 0, so the limit
     is the one value iteration reaches, and ||A_k|| decays like the spectral
@@ -174,12 +208,12 @@ def riccati_doubling(A, G, H):
     eye = _eye(A.shape[0])
     for k in range(1, DOUBLING_MAX_STEPS + 1):
         try:
-            # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
-            Y = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            Winv = np.linalg.inv(eye + G @ H)
         except np.linalg.LinAlgError as e:
             raise ConvergenceError(f"riccati_doubling: I + G H is singular at doubling {k}",
                                    iterations=k) from e
-        WA, WG = np.split(Y, 2, axis=1)
+        # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
+        WA, WG = Winv @ A, Winv @ G
         G = G + A @ WG @ A.T
         H = H + A.T @ H @ WA
         A = A @ WA

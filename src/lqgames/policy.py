@@ -6,7 +6,9 @@ solve the two discrete Lyapunov equations
     P     = (Q + K^T Ru K - L^T Rv L) + Acl^T P Acl,      Acl = A - BK - CL,
     Sigma = Sigma0 + Acl Sigma Acl^T,
 
-and the cost is tr(P Sigma0) = tr(Sigma (Q + K^T Ru K - L^T Rv L)).
+and the cost is tr(P Sigma0) = tr(Sigma (Q + K^T Ru K - L^T Rv L)). The
+Sigma equation's closed loop is the transpose of the P equation's, so evaluate
+solves both in one linalg.solve_dlyap_transpose call.
 The policy gradients factor through the half-gradient matrices
 
     E = (Ru + B^T P B) K - B^T P (A - CL),    grad_K = 2 E Sigma,
@@ -87,9 +89,8 @@ def evaluate(game, pi):
     pi.check_dims(game)
     Acl = closed_loop(game, pi)
     rho = linalg.require_stable(Acl, context="evaluate")
-    # Acl is stable and both weights exactly symmetric, as the solves require
-    P = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi))
-    Sigma = linalg.solve_dlyap_transpose(Acl.T, game.Sigma0)
+    # Acl is stable and both weights exactly symmetric, as the solve requires
+    P, Sigma = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi), game.Sigma0)
     cost = float(np.trace(P.dot(game.Sigma0)))
     BtP, CtP = game.B.T.dot(P), game.C.T.dot(P)
     E = (game.Ru + BtP.dot(game.B)).dot(pi.K) - BtP.dot(game.A - game.C.dot(pi.L))

@@ -113,6 +113,10 @@ class OuterTrace:
         if last is not None:
             if oracle_value is not None:
                 gap = last.cost - float(oracle_value)
+            # a run that ends on the boundary of Omega stops at its projected
+            # fixed point, so its gap to the oracle tends to a constant: the
+            # mapping norms give its rate
+            if oracle_value is not None and not last.proj_active:
                 # gaps at roundoff measure noise, not the rate: leave them out
                 floor = GAP_FLOOR_EPS * np.finfo(float).eps * max(1.0, abs(float(oracle_value)))
                 gaps = [abs(float(oracle_value) - r.cost) for r in self.rows]

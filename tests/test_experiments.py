@@ -297,6 +297,23 @@ def test_fitted_rate_leaves_out_gaps_at_roundoff():
     assert summary["fitted_local_rate"] == pytest.approx(math.log(0.9), rel=1e-9)
 
 
+@pytest.mark.parametrize("variant", [lq.NG, lq.NATURAL_NG])
+def test_projected_runs_that_end_on_the_boundary_fit_their_mapping_norms(variant):
+    # on case2 Omega excludes L*, so the gap to the oracle tends to a constant
+    # (NG's rate fitted from it read -4.4e-11); on case1 the last row is
+    # inside Omega and the rate still comes from the oracle gap
+    for game, on_boundary in ((lq.case2(), True), (lq.case1(), False)):
+        nash = lq.solve_gare(game)
+        cfg = lq.OuterConfig(variant=variant, tol=1e-7,
+                             projection=lq.PROJECTION_WHITENED_SV_CLIP)
+        _, trace = lq.solve_nested(game, np.zeros((1, 3)),
+                                   cfg, lq.OmegaSet.for_game(game, nash=nash))
+        assert trace.rows[-1].proj_active == on_boundary
+        rate = trace.summary(oracle_value=nash.value)["fitted_local_rate"]
+        map_rate = lq.fit_log_slope(trace.map_norms())
+        assert rate < 0.0 and (rate == map_rate) == on_boundary
+
+
 def test_failed_modelfree_runs_leave_their_partial_traces(tmp_path):
     # at r = 0.75 a perturbed gain destabilizes the third inner iterate; at
     # eta = 0.1 the outer run's fourth L is one that the warm-started inner

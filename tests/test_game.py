@@ -192,10 +192,29 @@ def test_public_boundaries_reject_bad_input(g1, case):
         call()
 
 
+@pytest.mark.parametrize("case", ["evaluate", "solve_inner_riccati", "solve_nested",
+                                  "estimate_inner", "Ru_not_pd"])
+def test_bad_input_values_raise_a_typed_value_error(g1, case):
+    # InputError is an LqGamesError, and a ValueError for callers that catch that
+    nan = np.array([[np.nan, 0.0, 0.0]])
+    calls = {
+        "evaluate": lambda: lq.evaluate(g1, lq.PolicyPair(K=nan, L=np.zeros((1, 3)))),
+        "solve_inner_riccati": lambda: lq.solve_inner_riccati(g1, nan),
+        "solve_nested": lambda: lq.solve_nested(g1, nan, lq.OuterConfig()),
+        "estimate_inner": lambda: lq.RolloutEngine(g1, 0).estimate_inner(
+            nan, np.zeros((1, 3)), 10, 10, 0.05),
+        "Ru_not_pd": lambda: lq.LqGame(A=g1.A, B=g1.B, C=g1.C, Q=g1.Q, Ru=-g1.Ru,
+                                       Rv=g1.Rv, Sigma0=g1.Sigma0),
+    }
+    with pytest.raises(lq.InputError) as exc:
+        calls[case]()
+    assert isinstance(exc.value, lq.LqGamesError) and isinstance(exc.value, ValueError)
+
+
 def test_unchecked_pair_constructor_stays_private():
     # PolicyPair._trusted skips the boundary checks, for the package's own gains
     assert not any("trusted" in name for name in lq.__all__ + dir(lq))
-    assert len(lq.__all__) == 53
+    assert len(lq.__all__) == 54  # 53 names, then InputError
 
 
 def test_open_loop_case1_is_unstable(g1):

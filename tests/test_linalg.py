@@ -119,6 +119,46 @@ def test_dlyap_doubling_cap_raises(monkeypatch):
     assert exc.value.iterations == 1
 
 
+@pytest.mark.parametrize("d", DLYAP_DIMS)
+def test_dlyap_pair_matches_two_single_solves(d):
+    # evaluate's pair: X = Acl^T X Acl + W and Y = Acl Y Acl^T + S in one call
+    rng = np.random.default_rng(14)
+    for _ in range(5):
+        Acl = random_stable(rng, n=d)
+        W = random_psd(rng, n=d) - random_psd(rng, n=d)  # a stage weight can be indefinite
+        S = random_psd(rng, n=d)
+        X, Y = lin.solve_dlyap_transpose(Acl, W, S)
+        X1, Y1 = lin.solve_dlyap_transpose(Acl, W), lin.solve_dlyap_transpose(Acl.T, S)
+        assert np.array_equal(X, X.T) and np.array_equal(Y, Y.T)
+        if d <= lin.DLYAP_DIRECT_MAX_DIM:
+            # one batched LAPACK solve factors each system as a lone solve does
+            assert X.tobytes() == X1.tobytes() and Y.tobytes() == Y1.tobytes()
+        else:
+            for Z, Z1 in ((X, X1), (Y, Y1)):
+                assert np.linalg.norm(Z - Z1, "fro") <= 1e-12 * np.linalg.norm(Z1, "fro")
+        for Z, M, Wt in ((X, Acl.T, W), (Y, Acl, S)):
+            scale = max(1.0, np.linalg.norm(Z, "fro"))
+            assert np.linalg.norm(Z - scipy.linalg.solve_discrete_lyapunov(M, Wt),
+                                  "fro") <= 1e-10 * scale
+            assert np.linalg.norm(Z - M @ Z @ M.T - Wt, "fro") <= 1e-10 * scale
+
+
+def test_dlyap_pair_near_unit_radius():
+    rng = np.random.default_rng(11)
+    Acl = random_stable(rng, n=48, radius=1.0 - 1e-6)
+    W, S = random_psd(rng, n=48), random_psd(rng, n=48)
+    X, Y = lin.solve_dlyap_transpose(Acl, W, S)
+    for Z, Z1, M, Wt in ((X, lin.solve_dlyap_transpose(Acl, W), Acl.T, W),
+                         (Y, lin.solve_dlyap_transpose(Acl.T, S), Acl, S)):
+        scale = np.linalg.norm(Z, "fro")
+        assert np.linalg.norm(Z - Z1, "fro") <= 1e-12 * scale
+        assert np.linalg.norm(Z - M @ Z @ M.T - Wt, "fro") <= 1e-12 * scale
+
+
+def _rel(X, X_ref):
+    return np.linalg.norm(X - X_ref, "fro") / np.linalg.norm(X_ref, "fro")
+
+
 def test_riccati_doubling_matches_scipy_dare():
     rng = np.random.default_rng(13)
     A = rng.normal(size=(6, 6))
@@ -126,8 +166,40 @@ def test_riccati_doubling_matches_scipy_dare():
     H = random_psd(rng, n=6) + np.eye(6)
     X, doublings = lin.riccati_doubling(A, B @ B.T, H)
     X_scipy = scipy.linalg.solve_discrete_are(A, B, H, np.eye(2))
-    assert np.linalg.norm(X - X_scipy, "fro") <= 1e-12 * np.linalg.norm(X_scipy, "fro")
+    assert _rel(X, X_scipy) <= 1e-12
     assert doublings <= 16
+    # either side of the Lyapunov switch, open loop unstable; doubling's
+    # roundoff grows with d (to 6.5e-13 at d = 48 here), and the Newton steps
+    # of solve_dare polish it off
+    for d in (3, 8, 24, 48):
+        rng = np.random.default_rng(13)
+        A = random_stable(rng, n=d, radius=1.05)
+        B = rng.normal(size=(d, 2))
+        H = random_psd(rng, n=d) + np.eye(d)
+        X, doublings = lin.riccati_doubling(A, B @ B.T, H)
+        X_scipy = scipy.linalg.solve_discrete_are(A, B, H, np.eye(2))
+        assert _rel(X, X_scipy) <= (1e-12 if d <= 8 else 2e-12), d
+        assert doublings <= 16
+        assert _rel(lin.solve_dare(A, B, H, np.eye(2), 1e-12)[0], X_scipy) <= 1e-12, d
+
+
+def test_riccati_doubling_on_an_indefinite_gare_weight(g1, g2):
+    # the game's Riccati equation: input [B, C], weight diag(Ru, -Rv), so
+    # G = B Ru^-1 B^T - C Rv^-1 C^T is indefinite
+    rng = np.random.default_rng(15)
+    d = 24
+    A = random_stable(rng, n=d, radius=1.05)
+    games = [(g.A, g.B, g.C, g.Q, g.Ru, g.Rv) for g in (g1, g2)]
+    games.append((A, rng.normal(size=(d, 2)), 0.1 * rng.normal(size=(d, 1)), np.eye(d),
+                  np.eye(2), 10.0 * np.eye(1)))
+    for A, B, C, H, Ru, Rv in games:
+        G = B @ np.linalg.solve(Ru, B.T) - C @ np.linalg.solve(Rv, C.T)
+        assert lin.min_eigenvalue_sym(0.5 * (G + G.T)) < 0.0
+        X, doublings = lin.riccati_doubling(A, 0.5 * (G + G.T), H)
+        X_scipy = scipy.linalg.solve_discrete_are(A, np.hstack([B, C]), H,
+                                                  scipy.linalg.block_diag(Ru, -Rv))
+        assert _rel(X, X_scipy) <= 1e-12
+        assert doublings <= 16
 
 
 def test_riccati_doubling_failures_are_typed(monkeypatch):

@@ -152,7 +152,7 @@ def test_projected_case2_takes_rv_roots_once_per_game(monkeypatch):
     assert len(calls) == 1 and calls[0] is game.Rv
     # the same bytes as when every projection took the roots itself
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == (
-        "9c3e97b78806fa2b5b3ff7197d7063ef9158e1260a2b19500139acfea0cea1a6")
+        "ab5942accb5bda96acc0b65013693182fdfbebef9807473b983753c636ae2c64")
 
 
 def test_outer_step_directions(g1):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lqgames as lq
+from lqgames import linalg
 
 from conftest import cost_finite_horizon
 
@@ -134,6 +135,20 @@ def test_trusted_pair_evaluates_bit_for_bit_like_a_checked_one(m1, m2):
         for f in dataclasses.fields(lq.PolicyEval):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (d, f.name)
+
+
+def test_evaluate_solves_its_lyapunov_pair_in_one_call(g1, nash1, monkeypatch):
+    calls = []
+    solve = linalg.solve_dlyap_transpose
+    monkeypatch.setattr(linalg, "solve_dlyap_transpose",
+                        lambda *a: calls.append(len(a)) or solve(*a))
+    pi = lq.PolicyPair(K=nash1.Kstar, L=nash1.Lstar)
+    ev = lq.evaluate(g1, pi)
+    assert calls == [3]  # Acl, the stage weight and Sigma0
+    Acl = g1.A - g1.B @ pi.K - g1.C @ pi.L
+    assert np.allclose(ev.P, Acl.T @ ev.P @ Acl + lq.policy.stage_weight(g1, pi),
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(ev.Sigma, Acl @ ev.Sigma @ Acl.T + g1.Sigma0, rtol=1e-12, atol=0.0)
 
 
 def test_policy_pair_dimension_check(g1):
