@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inner_loop, linalg, outer_loop, policy
-from .errors import DefinitenessError, UnstableError
+from .errors import (DefinitenessError, UnstableError, _check_choice, _check_count,
+                     _check_positive)
 from .trace import OuterTrace, trace_row
 
 AG = "AG"
@@ -44,18 +45,15 @@ class BaselineConfig:
     inner_tol: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}; expected one of {FLAVORS}")
-        if self.eta <= 0.0 or self.tol <= 0.0:
-            raise ValueError("eta and tol must be positive")
-        if self.inner_iters < 1 or self.max_outer < 1:
-            raise ValueError("inner_iters and max_outer must be >= 1")
-        if self.inner_alpha is not None and self.inner_alpha <= 0.0:
-            raise ValueError("inner_alpha must be positive")
-        if self.inner_tol < 0.0:
-            raise ValueError("inner_tol must be >= 0")
+        _check_choice("BaselineConfig.family", self.family, FAMILIES)
+        _check_choice("BaselineConfig.flavor", self.flavor, FLAVORS)
+        _check_positive("BaselineConfig.eta", self.eta)
+        _check_count("BaselineConfig.inner_iters", self.inner_iters)
+        _check_count("BaselineConfig.max_outer", self.max_outer)
+        _check_positive("BaselineConfig.tol", self.tol)
+        if self.inner_alpha is not None:
+            _check_positive("BaselineConfig.inner_alpha", self.inner_alpha)
+        _check_positive("BaselineConfig.inner_tol", self.inner_tol, zero_ok=True)
 
 
 def _l_direction(game, ev, flavor):
@@ -83,8 +81,7 @@ def _evaluate_at(game, K, L, where):
 
 def run_ag(game, pi0, cfg):
     """Alternating gradient from a stabilizing pair."""
-    if cfg.family != AG:
-        raise ValueError("run_ag requires cfg.family == AG")
+    _check_choice("run_ag.cfg.family", cfg.family, (AG,))
     pi0.check_dims(game)
     icfg = inner_loop.InnerConfig(method=cfg.flavor, alpha=cfg.inner_alpha)
     K = np.array(pi0.K, dtype=float)
@@ -106,14 +103,13 @@ def run_ag(game, pi0, cfg):
             trace.converged = True
             break
         if t < cfg.max_outer:
-            L = outer_loop.ascent_step(game, t, trace, L, cfg.eta, D)
+            L = outer_loop.projected_step(game, t, trace, L, D, cfg.eta)[0]
     return policy.PolicyPair(K=K, L=trace.rows[-1].L), trace
 
 
 def run_gda(game, pi0, cfg):
     """Simultaneous descent-ascent: both updates use the same evaluation."""
-    if cfg.family != GDA:
-        raise ValueError("run_gda requires cfg.family == GDA")
+    _check_choice("run_gda.cfg.family", cfg.family, (GDA,))
     pi0.check_dims(game)
     alpha = cfg.inner_alpha if cfg.inner_alpha is not None else cfg.eta
     icfg = inner_loop.InnerConfig(method=cfg.flavor, alpha=alpha)
@@ -132,5 +128,5 @@ def run_gda(game, pi0, cfg):
             break
         if t < cfg.max_outer:
             K = inner_loop._step_from_eval(game, K, ev, icfg)
-            L = outer_loop.ascent_step(game, t, trace, L, cfg.eta, D)
+            L = outer_loop.projected_step(game, t, trace, L, D, cfg.eta)[0]
     return policy.PolicyPair(K=trace.rows[-1].K, L=trace.rows[-1].L), trace

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its scalar checks.
+
+Every error the package raises is an LqGamesError; ConfigError (a bad scalar
+argument or config field) and InputError (a bad array) are ValueErrors too.
+Configs and entry points check their numbers once, through the _check_*
+helpers below, whose messages name the owner and the field, for example
+"OuterConfig.max_iter: must be an integer >= 1, got 2.5".
+"""
+
+import math
+import numbers
 
 
 class LqGamesError(Exception):
@@ -6,8 +16,8 @@ class LqGamesError(Exception):
 
 
 class InputError(LqGamesError, ValueError):
-    """An input value the package cannot take: non-finite entries, or a weight
-    that is not positive definite. A ValueError too, for callers catching that."""
+    """An input array the package cannot take: non-finite entries, a weight
+    that is not positive definite, or a start outside the constraint set."""
 
 
 class DimensionError(LqGamesError):
@@ -52,5 +62,31 @@ class SampleError(LqGamesError):
         self.index = index
 
 
-class ConfigError(LqGamesError):
-    """Invalid experiment or solver configuration."""
+class ConfigError(LqGamesError, ValueError):
+    """An invalid solver argument or experiment configuration."""
+
+
+# Each check tests the exact type first, so plain ints and floats skip the
+# slower abstract-base-class tests.
+def _check_count(name, value, least=1):
+    """Raise ConfigError unless value is an integer >= least (bools are not)."""
+    if (type(value) is not int and (isinstance(value, bool)
+                                    or not isinstance(value, numbers.Integral))
+            or value < least):
+        raise ConfigError(f"{name}: must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(name, value, zero_ok=False):
+    """Raise ConfigError unless value is a finite real number (not a bool)
+    above 0, or at 0 when zero_ok."""
+    if (type(value) is not float and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real))
+            or not (0.0 <= value if zero_ok else 0.0 < value) or not value < math.inf):
+        want = ">= 0" if zero_ok else "positive"
+        raise ConfigError(f"{name}: must be finite and {want}, got {value!r}")
+
+
+def _check_choice(name, value, choices):
+    """Raise ConfigError unless value is one of choices."""
+    if value not in choices:
+        raise ConfigError(f"{name}: must be one of {choices}, got {value!r}")

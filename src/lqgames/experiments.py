@@ -15,7 +15,6 @@ solver is deterministic given its seed.
 
 import dataclasses
 import json
-import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -23,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, game as game_mod, inner_loop, linalg, modelfree, outer_loop, svgplot
-from .errors import ConfigError, ConvergenceError, LqGamesError, SampleError
+from .errors import (ConfigError, ConvergenceError, LqGamesError, SampleError, _check_choice,
+                     _check_count, _check_positive)
 from .policy import PolicyPair
 from .trace import OuterTrace, trace_row
 
@@ -33,18 +33,13 @@ def _field_names(cls):
 
 
 _BASELINE_KEYS = _field_names(baselines.BaselineConfig) - {"family"} | {"K0", "L0"}
-# The model-free runners' own arguments and their defaults.
+# The model-free runners' own arguments, their defaults, and the runner's check.
 _MODELFREE_ARGS = {
-    "modelfree-inner": {"steps": 20, "alpha": 0.05, "flavor": inner_loop.NATURAL_PG,
-                        "tol": None},
-    "modelfree-outer": {"T": 20, "eta": 0.05, "flavor": outer_loop.NG, "inner_steps": 10,
-                        "inner_alpha": 0.05, "inner_flavor": inner_loop.NATURAL_PG},
-}
-_STEP_COUNTS = ("steps", "T", "inner_steps")
-_FLAVORS = {
-    ("modelfree-inner", "flavor"): (inner_loop.PG, inner_loop.NATURAL_PG),
-    ("modelfree-outer", "flavor"): (outer_loop.NG, outer_loop.NATURAL_NG),
-    ("modelfree-outer", "inner_flavor"): (inner_loop.PG, inner_loop.NATURAL_PG),
+    "modelfree-inner": ({"steps": 20, "alpha": 0.05, "flavor": inner_loop.NATURAL_PG,
+                         "tol": None}, modelfree._check_inner_args),
+    "modelfree-outer": ({"T": 20, "eta": 0.05, "flavor": outer_loop.NG, "inner_steps": 10,
+                         "inner_alpha": 0.05, "inner_flavor": inner_loop.NATURAL_PG},
+                        modelfree._check_outer_args),
 }
 # The keys each solver kind reads besides "solver" and "name": the fields of
 # its config dataclass plus the runner's own arguments. Any other key is
@@ -54,9 +49,9 @@ SPEC_KEYS = {
     "ag": _BASELINE_KEYS,
     "gda": _BASELINE_KEYS,
     "modelfree-inner": _field_names(modelfree.EstimatorConfig) | {"L", "K0"}
-    | set(_MODELFREE_ARGS["modelfree-inner"]),
+    | set(_MODELFREE_ARGS["modelfree-inner"][0]),
     "modelfree-outer": _field_names(modelfree.EstimatorConfig) | {"L0", "projection"}
-    | set(_MODELFREE_ARGS["modelfree-outer"]),
+    | set(_MODELFREE_ARGS["modelfree-outer"][0]),
 }
 SOLVER_KINDS = tuple(SPEC_KEYS)
 
@@ -71,6 +66,17 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "lqgames_out"
 
+    def __post_init__(self):
+        if not isinstance(self.game, str) or (self.game not in ("case1", "case2")
+                                              and not os.path.exists(self.game)):
+            raise ConfigError(f"ExperimentConfig.game: must be case1, case2 or a game file, "
+                              f"got {self.game!r}")
+        if self.zeta is not None:
+            _check_positive("ExperimentConfig.zeta", self.zeta)
+        _check_count("ExperimentConfig.seed", self.seed, least=0)
+        if not isinstance(self.out, str):
+            raise ConfigError(f"ExperimentConfig.out: must be a path, got {self.out!r}")
+
     @classmethod
     def from_dict(cls, d, require_solvers=True):
         if not isinstance(d, dict):
@@ -79,12 +85,10 @@ class ExperimentConfig:
         cfg = cls(
             game=d.get("game", "case1"),
             solvers=list(d.get("solvers", [])),
-            zeta=d.get("zeta"),
-            seed=int(d.get("seed", 0)),
+            zeta=_coerce(d.get("zeta"), float),
+            seed=_coerce(d.get("seed", 0), int),
             out=d.get("out", "lqgames_out"),
         )
-        if cfg.game not in ("case1", "case2") and not os.path.exists(cfg.game):
-            raise ConfigError(f"game file not found: {cfg.game}")
         if require_solvers and not cfg.solvers:
             raise ConfigError("config lists no solvers")
         seen = set()
@@ -99,16 +103,15 @@ class ExperimentConfig:
                 raise ConfigError(f"duplicate solver name {name!r}")
             seen.add(name)
             _check_keys(spec, SPEC_KEYS[spec["solver"]] | {"solver", "name"}, f"solver {name!r}")
-            if spec.get("projection", outer_loop.PROJECTION_OFF) not in outer_loop.PROJECTIONS:
-                raise ConfigError(f"solver {name!r}: unknown projection {spec['projection']!r}; "
-                                  f"expected one of {outer_loop.PROJECTIONS}")
             if spec["solver"] == "nested":
                 inner = spec.get("inner", {})
                 if not isinstance(inner, dict):
                     raise ConfigError(f"solver {name!r}: 'inner' must be an object")
                 _check_keys(inner, _field_names(inner_loop.InnerConfig), f"solver {name!r} inner")
-            if spec["solver"] in _MODELFREE_ARGS:
-                _modelfree_args(spec)
+            try:  # build the solver's config now, so a bad value fails before any run
+                _solver_config(spec, cfg.seed)
+            except ConfigError as e:
+                raise ConfigError(f"solver {name!r}: {e}") from None
         return cfg
 
     @classmethod
@@ -131,53 +134,47 @@ def _check_keys(d, known, where):
 
 def _modelfree_args(spec):
     """The runner arguments of a model-free solver spec: the defaults in
-    _MODELFREE_ARGS, overridden by the spec's values once they are checked.
-    Step counts are integers >= 0, stepsizes and tol finite and positive,
-    flavors one of their kind's."""
-    kind = spec["solver"]
-    args = dict(_MODELFREE_ARGS[kind])
-    for key in sorted(args.keys() & spec.keys()):
-        value = spec[key]
-        if (kind, key) in _FLAVORS:
-            ok, want = value in _FLAVORS[kind, key], f"one of {_FLAVORS[kind, key]}"
-        elif key == "tol" and value is None:
-            ok = True
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            ok, want = False, "a number"
-        elif key in _STEP_COUNTS:
-            ok, want = float(value).is_integer() and value >= 0, "an integer >= 0"
-            value = int(value) if ok else value
-        else:
-            ok, want = math.isfinite(value) and value > 0, "finite and positive"
-            value = float(value)
-        if not ok:
-            raise ConfigError(f"solver {solver_name(spec)!r}: {key} must be {want}, "
-                              f"got {value!r}")
-        args[key] = value
+    _MODELFREE_ARGS, overridden by the spec's values, checked by the runner's
+    own check."""
+    defaults, check = _MODELFREE_ARGS[spec["solver"]]
+    args = {key: _coerce(spec.get(key, value), float if value is None else type(value))
+            for key, value in defaults.items()}
+    check(**args)
     return args
 
 
-def _has_tolerance(spec):
-    """Whether a solver runs to a tolerance: all but the model-free ones do,
-    and modelfree-inner does when it is given one."""
-    if spec["solver"] in _MODELFREE_ARGS:
-        return _modelfree_args(spec).get("tol") is not None
-    return True
+def _coerce(value, kind):
+    """A JSON number as the field's kind where that changes no value: 5.0 for
+    an int field is 5, 1 (up to 2**53) for a float field 1.0. Anything else
+    comes back as it is, for the config's own check to take or reject."""
+    if kind is int and type(value) is float and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int and abs(value) <= 2 ** 53:
+        return float(value)
+    return value
 
 
 def _config(base, spec, **fixed):
-    """base with the spec's values for its fields, JSON numbers coerced to the
-    field's int or float type, and then the fixed values."""
-    given = {}
-    for f in dataclasses.fields(base):
-        if f.name in spec and f.name not in fixed:
-            value = spec[f.name]
-            if value is not None and f.type is int:
-                value = int(value)
-            elif value is not None and f.type in (float, float | None):
-                value = float(value)
-            given[f.name] = value
+    """base with the spec's values for its fields, integral JSON numbers
+    coerced to the field's int or float type, and then the fixed values."""
+    given = {f.name: _coerce(spec[f.name], float if f.type == float | None else f.type)
+             for f in dataclasses.fields(base) if f.name in spec and f.name not in fixed}
     return dataclasses.replace(base, **given, **fixed)
+
+
+def _solver_config(spec, seed):
+    """The config a solver spec makes, paired with the runner arguments for a
+    model-free solver. Building them checks every value."""
+    kind = spec["solver"]
+    if kind == "nested":
+        base = outer_loop.OuterConfig()
+        return _config(base, spec, inner=_config(base.inner, spec.get("inner", {})))
+    if kind in ("ag", "gda"):
+        return _config(baselines.BaselineConfig(), spec,
+                       family=baselines.AG if kind == "ag" else baselines.GDA)
+    _check_choice(f"{kind}.projection", spec.get("projection", outer_loop.PROJECTION_OFF),
+                  outer_loop.PROJECTIONS)
+    return _config(modelfree.EstimatorConfig(seed=seed), spec), _modelfree_args(spec)
 
 
 def solver_name(spec):
@@ -196,62 +193,40 @@ def load_game(source):
     return game_mod.LqGame.load(source)
 
 
-def _zeros_L(game):
-    return np.zeros((game.m2, game.d))
-
-
-def _parse_gain(value, rows, cols, name):
+def _parse_gain(value, rows, cols, name, zero=False):
+    """The spec's gain as a rows x cols matrix; when absent, zeros if zero, else None."""
     if value is None:
-        return None
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (rows, cols):
-        raise ConfigError(f"{name} must have shape {(rows, cols)}, got {arr.shape}")
+        return np.zeros((rows, cols)) if zero else None
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        arr = None
+    if arr is None or arr.shape != (rows, cols):
+        raise ConfigError(f"{name}: must be a {rows} x {cols} matrix of numbers, got {value!r}")
     return arr
 
 
-def _default_pi0(game):
-    # a stabilizing start: best response to L = 0 (A itself may be unstable)
-    K0 = inner_loop.solve_inner_riccati(game, _zeros_L(game)).K
-    return PolicyPair(K=K0, L=_zeros_L(game))
-
-
-def _run_nested(game, spec, omega):
-    base = outer_loop.OuterConfig()
-    cfg = _config(base, spec, inner=_config(base.inner, spec.get("inner", {})))
-    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0")
-    if L0 is None:
-        L0 = _zeros_L(game)
+def _run_nested(game, spec, cfg, omega):
+    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0", zero=True)
     _, trace = outer_loop.solve_nested(game, L0, cfg, omega)
     return trace
 
 
-def _run_baseline(game, spec):
-    family = baselines.AG if spec["solver"] == "ag" else baselines.GDA
-    cfg = _config(baselines.BaselineConfig(), spec, family=family)
+def _run_baseline(game, spec, cfg):
     K0 = _parse_gain(spec.get("K0"), game.m1, game.d, "K0")
-    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0")
-    if K0 is None and L0 is None:
-        pi0 = _default_pi0(game)
-    else:
-        if L0 is None:
-            L0 = _zeros_L(game)
-        if K0 is None:
-            K0 = inner_loop.solve_inner_riccati(game, L0).K
-        pi0 = PolicyPair(K=K0, L=L0)
-    run = baselines.run_ag if family == baselines.AG else baselines.run_gda
-    _, trace = run(game, pi0, cfg)
+    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0", zero=True)
+    if K0 is None:  # a stabilizing start: the best response to L0 (A may be unstable)
+        K0 = inner_loop.solve_inner_riccati(game, L0).K
+    run = baselines.run_ag if cfg.family == baselines.AG else baselines.run_gda
+    _, trace = run(game, PolicyPair(K=K0, L=L0), cfg)
     return trace
 
 
-def _run_modelfree_inner(game, spec, seed):
-    cfg = _config(modelfree.EstimatorConfig(seed=seed), spec)
-    L = _parse_gain(spec.get("L"), game.m2, game.d, "L")
-    if L is None:
-        L = _zeros_L(game)
+def _run_modelfree_inner(game, spec, cfg, args):
+    L = _parse_gain(spec.get("L"), game.m2, game.d, "L", zero=True)
     K0 = _parse_gain(spec.get("K0"), game.m1, game.d, "K0")
     if K0 is None:
         K0 = inner_loop.solve_inner_riccati(game, L).K
-    args = _modelfree_args(spec)
     trace = OuterTrace(meta={"variant": f"modelfree-inner-{args['flavor']}"})
     margin = game_mod.qtilde_min(game, L)
 
@@ -271,27 +246,24 @@ def _run_modelfree_inner(game, spec, seed):
     return trace
 
 
-def _run_modelfree_outer(game, spec, omega, seed):
-    cfg = _config(modelfree.EstimatorConfig(seed=seed), spec)
-    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0")
-    if L0 is None:
-        L0 = _zeros_L(game)
+def _run_modelfree_outer(game, spec, omega, cfg, args):
+    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0", zero=True)
     use_omega = omega if spec.get("projection") == outer_loop.PROJECTION_WHITENED_SV_CLIP else None
     # no tolerance: the run takes its T steps and does not claim convergence
-    _, trace = modelfree.outer_ng_modelfree(game, L0, cfg, omega=use_omega,
-                                            **_modelfree_args(spec))
+    _, trace = modelfree.outer_ng_modelfree(game, L0, cfg, omega=use_omega, **args)
     return trace
 
 
 def run_solver(game, spec, omega, seed):
     kind = spec["solver"]
+    cfg = _solver_config(spec, seed)
     if kind == "nested":
-        return _run_nested(game, spec, omega)
+        return _run_nested(game, spec, cfg, omega)
     if kind in ("ag", "gda"):
-        return _run_baseline(game, spec)
+        return _run_baseline(game, spec, cfg)
     if kind == "modelfree-inner":
-        return _run_modelfree_inner(game, spec, seed)
-    return _run_modelfree_outer(game, spec, omega, seed)
+        return _run_modelfree_inner(game, spec, *cfg)
+    return _run_modelfree_outer(game, spec, omega, *cfg)
 
 
 def _write_plots(out_dir, name, trace, summary):
@@ -321,7 +293,9 @@ def run_experiment(cfg, out_dir=None, seed=None):
     """Run every solver in cfg and write artifacts. Returns the aggregate
     summary dict; solver errors are recorded there rather than raised."""
     out_dir = out_dir or cfg.out
-    base_seed = cfg.seed if seed is None else int(seed)
+    if seed is not None:
+        _check_count("run_experiment.seed", seed, least=0)
+    base_seed = cfg.seed if seed is None else seed
     gm = load_game(cfg.game)
     nash = game_mod.solve_gare(gm)
     report = game_mod.check_assumptions(gm, nash)
@@ -342,14 +316,16 @@ def run_experiment(cfg, out_dir=None, seed=None):
             solvers[name] = trace.write_summary(os.path.join(out_dir, f"{name}.json"),
                                                 oracle_value=nash.value)
             _write_plots(out_dir, name, trace, solvers[name])
-        except (LqGamesError, np.linalg.LinAlgError, ValueError) as e:
+        except LqGamesError as e:
             solvers[name] = {"error": f"{type(e).__name__}: {e}", "converged": False}
             partial = getattr(e, "trace", None)
             if partial is not None:
                 partial.write_csv(os.path.join(out_dir, f"{name}.csv"))
                 solvers[name]["partial_rows"] = len(partial.rows)
-        # failing: raised, or missed a tolerance it was given
-        if "error" in solvers[name] or (_has_tolerance(spec) and not solvers[name]["converged"]):
+        # failing: raised, or missed a tolerance it was given (a model-free
+        # run has one only when its spec sets tol)
+        has_tol = spec["solver"] not in _MODELFREE_ARGS or spec.get("tol") is not None
+        if "error" in solvers[name] or (has_tol and not solvers[name]["converged"]):
             failing.append(name)
     aggregate = {
         "game": cfg.game,

@@ -22,12 +22,13 @@ linalg.solve_dare: doubling, then Newton steps.
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceError, DefinitenessError, DimensionError, InputError
+from .errors import (ConvergenceError, DefinitenessError, DimensionError, InputError,
+                     _check_count, _check_positive)
 
 GARE_DEFAULT_TOL = 1e-10
 
@@ -103,17 +104,9 @@ class LqGame:
 
     @classmethod
     def from_json_dict(cls, doc):
-        d, m1, m2 = int(doc["d"]), int(doc["m1"]), int(doc["m2"])
-        g = cls(
-            A=np.asarray(doc["A"], dtype=float).reshape(d, d),
-            B=np.asarray(doc["B"], dtype=float).reshape(d, m1),
-            C=np.asarray(doc["C"], dtype=float).reshape(d, m2),
-            Q=np.asarray(doc["Q"], dtype=float).reshape(d, d),
-            Ru=np.asarray(doc["Ru"], dtype=float).reshape(m1, m1),
-            Rv=np.asarray(doc["Rv"], dtype=float).reshape(m2, m2),
-            Sigma0=np.asarray(doc["Sigma0"], dtype=float).reshape(d, d),
-        )
-        return g
+        """The game of a to_json_dict document. Its d, m1 and m2 are not read:
+        the matrices' shapes give them, and the constructor checks those."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -201,8 +194,8 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
     which must be at most tol or, when larger, the roundoff level
     64 eps ||A||_F^2 ||P||_F of that map.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_positive("solve_gare.tol", tol)
+    _check_count("solve_gare.max_iter", max_iter)
     R = np.block([[game.Ru, np.zeros((game.m1, game.m2))],
                   [np.zeros((game.m2, game.m1)), -game.Rv]])
     # Ru and Rv are PD (LqGame checked them), so R's inertia is (m1, m2)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, policy
-from .errors import ConvergenceError, DefinitenessError, UnstableError
+from .errors import (ConfigError, ConvergenceError, DefinitenessError, UnstableError,
+                     _check_choice, _check_count, _check_positive)
 from .game import qtilde_min
 from .trace import TraceRow, trace_row
 
@@ -52,17 +53,14 @@ class InnerConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown inner method {self.method!r}; expected one of {METHODS}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_choice("InnerConfig.method", self.method, METHODS)
+        _check_positive("InnerConfig.tol", self.tol)
+        _check_count("InnerConfig.max_iter", self.max_iter)
         if self.alpha is not None:
-            if self.alpha <= 0.0:
-                raise ValueError("alpha must be positive")
+            _check_positive("InnerConfig.alpha", self.alpha)
             if self.method == GAUSS_NEWTON and self.alpha > 0.5:
-                raise ValueError("GaussNewton alpha must lie in (0, 1/2]")
+                raise ConfigError(f"InnerConfig.alpha: must lie in (0, 1/2] for GaussNewton, "
+                                  f"got {self.alpha!r}")
 
 
 @dataclass
@@ -104,6 +102,8 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_M
     A warm start on a non-stabilizing root of the equation stays there and
     fails with UnstableError.
     """
+    _check_positive("solve_inner_riccati.tol", tol)
+    _check_count("solve_inner_riccati.max_iter", max_iter)
     L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
     Qt = game.Q - L.T.dot(game.Rv).dot(L)
     Qt = 0.5 * (Qt + Qt.T)

@@ -27,7 +27,8 @@ solves and the outer estimate's own rollouts (one trajectory per pair) are
 the others. Budgets (m, R, r and the step counts), stepsizes and gains are
 checked once, where they enter: EstimatorConfig, estimate_inner,
 estimate_outer, inner_ng_modelfree and outer_ng_modelfree raise ConfigError
-for bad budgets and stepsizes, and check gains through linalg.as_matrix.
+for bad budgets, stepsizes and flavors, naming the field, and check gains
+through linalg.as_matrix.
 
 Randomness is counter-based: every draw comes from the engine's Philox
 generator re-keyed to (seed, stream index), one stream per draw block. Results
@@ -70,14 +71,13 @@ Trace columns for the outer solver are diagnostics computed from the model
 sampled costs and states.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inner_loop, linalg, outer_loop
-from .errors import ConfigError, ConvergenceError, SampleError
+from .errors import (ConfigError, ConvergenceError, SampleError, _check_choice, _check_count,
+                     _check_positive)
 from .trace import OuterTrace, trace_row
 
 _MASK64 = (1 << 64) - 1
@@ -121,7 +121,10 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_budget(self.m, self.R, self.r)
+        _check_count("EstimatorConfig.m", self.m)
+        _check_count("EstimatorConfig.R", self.R)
+        _check_positive("EstimatorConfig.r", self.r)
+        _check_count("EstimatorConfig.seed", self.seed, least=0)
 
 
 @dataclass
@@ -268,30 +271,31 @@ def _doubled_sums(A, X, M, T, AT, R):
         A, T = T, A
 
 
-def _check_budget(m, R, r, **counts):
-    """Raise ConfigError unless m and R are integers >= 1, r is finite and
-    positive, and every named count (inner_steps, T, steps) is an integer
-    >= 0."""
-    bounds = [("m", m, 1), ("R", R, 1)] + [(name, value, 0) for name, value in counts.items()]
-    for name, value, least in bounds:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    _check_positive("r", r)
-
-
-def _check_positive(name, value):
-    """Raise ConfigError unless value (r or a stepsize) is finite and positive."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_inner_method(flavor, alpha, name="alpha"):
+def _check_inner_method(owner, flavor, alpha, prefix=""):
+    """Raise ConfigError unless the fields prefix + flavor and prefix + alpha
+    name a model-free inner flavor and a stepsize."""
     if flavor == inner_loop.GAUSS_NEWTON:
-        raise ConfigError("the Gauss-Newton inner update cannot be estimated "
-                          "from rollouts; use PG or NaturalPG")
-    if flavor not in (inner_loop.PG, inner_loop.NATURAL_PG):
-        raise ConfigError(f"unknown model-free inner flavor {flavor!r}")
-    _check_positive(name, alpha)
+        raise ConfigError(f"{owner}.{prefix}flavor: the Gauss-Newton inner update cannot be "
+                          "estimated from rollouts; use PG or NaturalPG")
+    _check_choice(f"{owner}.{prefix}flavor", flavor, (inner_loop.PG, inner_loop.NATURAL_PG))
+    _check_positive(f"{owner}.{prefix}alpha", alpha)
+
+
+def _check_inner_args(steps, alpha, flavor, tol):
+    """Raise ConfigError unless inner_ng_modelfree can take these arguments."""
+    _check_count("inner_ng_modelfree.steps", steps, least=0)
+    _check_inner_method("inner_ng_modelfree", flavor, alpha)
+    if tol is not None:
+        _check_positive("inner_ng_modelfree.tol", tol)
+
+
+def _check_outer_args(T, eta, flavor, inner_steps, inner_alpha, inner_flavor):
+    """Raise ConfigError unless outer_ng_modelfree can take these arguments."""
+    _check_count("outer_ng_modelfree.T", T, least=0)
+    _check_positive("outer_ng_modelfree.eta", eta)
+    _check_choice("outer_ng_modelfree.flavor", flavor, (outer_loop.NG, outer_loop.NATURAL_NG))
+    _check_count("outer_ng_modelfree.inner_steps", inner_steps, least=0)
+    _check_inner_method("outer_ng_modelfree", inner_flavor, inner_alpha, "inner_")
 
 
 
@@ -479,7 +483,9 @@ class RolloutEngine:
 
     def estimate_inner(self, K, L, m, R, r):
         """Zeroth-order (gradK, Sigma) estimate at (K, L) by perturbing K."""
-        _check_budget(m, R, r)
+        _check_count("RolloutEngine.estimate_inner.m", m)
+        _check_count("RolloutEngine.estimate_inner.R", R)
+        _check_positive("RolloutEngine.estimate_inner.r", r)
         g = self.game
         K = linalg.as_matrix(K, g.m1, g.d, "K")[None]
         L = linalg.as_matrix(L, g.m2, g.d, "L")[None]
@@ -514,8 +520,11 @@ class RolloutEngine:
         cost and the correlation estimate. Returns the estimate and sample
         0's response, the warm start for the next call.
         """
-        _check_budget(m, R, r, inner_steps=inner_steps)
-        _check_inner_method(inner_flavor, inner_alpha, "inner_alpha")
+        _check_count("RolloutEngine.estimate_outer.m", m)
+        _check_count("RolloutEngine.estimate_outer.R", R)
+        _check_positive("RolloutEngine.estimate_outer.r", r)
+        _check_count("RolloutEngine.estimate_outer.inner_steps", inner_steps, least=0)
+        _check_inner_method("RolloutEngine.estimate_outer", inner_flavor, inner_alpha, "inner_")
         g = self.game
         K_warm = linalg.as_matrix(K_warm, g.m1, g.d, "K_warm")
         L = linalg.as_matrix(L, g.m2, g.d, "L")
@@ -619,8 +628,7 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
     the estimated gradient norm falls below it. record(j, K, est) is called
     with each visited iterate and its GradEstimate, for instrumentation.
     """
-    _check_budget(cfg.m, cfg.R, cfg.r, steps=steps)
-    _check_inner_method(flavor, alpha)
+    _check_inner_args(steps, alpha, flavor, tol)
     if estimator is None:
         engine = RolloutEngine(game, cfg.seed)
         estimator = lambda K_, L_: engine.estimate_inner(K_, L_, cfg.m, cfg.R, cfg.r)
@@ -656,11 +664,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
     estimator(L) -> GradEstimate may replace the whole sampling block (used
     for analytic wiring checks).
     """
-    _check_budget(cfg.m, cfg.R, cfg.r, T=T, inner_steps=inner_steps)
-    if flavor not in (outer_loop.NG, outer_loop.NATURAL_NG):
-        raise ConfigError("model-free outer flavor must be NG or NaturalNG")
-    _check_positive("eta", eta)
-    _check_inner_method(inner_flavor, inner_alpha, "inner_alpha")
+    _check_outer_args(T, eta, flavor, inner_steps, inner_alpha, inner_flavor)
     L = linalg.as_matrix(L0, game.m2, game.d, "L0").copy()
     if K0 is not None:
         K0 = linalg.as_matrix(K0, game.m1, game.d, "K0")
@@ -687,8 +691,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
             D = est.grad
         else:
             D = np.linalg.solve(est.Sigma, est.grad.T).T
-        outer_loop.ascent_step(game, t, trace, L, eta, D)  # projected_step takes the same step
-        Lp, mapping, proj_active = outer_loop.projected_step(game, L, D, eta, omega)
+        Lp, mapping, proj_active = outer_loop.projected_step(game, t, trace, L, D, eta, omega)
         trace.append(trace_row(game, t, L, est.cost_mean, est.grad, est.rho_max,
                                grad_map_norm=float(np.linalg.norm(mapping, "fro")),
                                proj_active=proj_active))

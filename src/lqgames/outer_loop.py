@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inner_loop, linalg, policy
-from .errors import ConvergenceError, DefinitenessError, UnstableError
+from .errors import (ConfigError, ConvergenceError, DefinitenessError, InputError,
+                     UnstableError, _check_choice, _check_count, _check_positive)
 from .game import qtilde_min
 from .trace import OuterTrace, trace_row
 
@@ -51,9 +52,8 @@ class OmegaSet:
     roots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.zeta <= 0.0:
-            raise ValueError("zeta must be positive")
-        M = linalg.symmetrize(self.M, name="M")
+        _check_positive("OmegaSet.zeta", self.zeta)
+        M = linalg.symmetrize(self.M, name="OmegaSet.M")
         roots = linalg.sym_sqrt_and_inv_sqrt(M, name="Q - zeta*I (zeta too large?)")
         M.setflags(write=False)
         object.__setattr__(self, "M", M)
@@ -71,11 +71,11 @@ class OmegaSet:
             else:
                 zeta = 0.5 * linalg.min_eigenvalue_sym(game.Q)
         else:
-            zeta = float(zeta)
+            _check_positive("OmegaSet.zeta", zeta)
             if margin is not None and margin > 0.0 and zeta >= margin:
-                raise ValueError(
-                    f"zeta={zeta:g} must stay below the equilibrium margin {margin:.6g} "
-                    "or Omega excludes the Nash gain")
+                raise ConfigError(
+                    f"OmegaSet.zeta: {zeta:g} must stay below the equilibrium margin "
+                    f"{margin:.6g} or Omega excludes the Nash gain")
         return cls(zeta=zeta, M=game.Q - zeta * np.eye(game.d))
 
     def margin(self, L, game):
@@ -95,16 +95,14 @@ class OuterConfig:
     projection: str = PROJECTION_OFF
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown outer variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.projection not in PROJECTIONS:
-            raise ValueError(f"unknown projection mode {self.projection!r}; expected one of {PROJECTIONS}")
-        if self.eta is not None and self.eta <= 0.0:
-            raise ValueError("eta must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_choice("OuterConfig.variant", self.variant, VARIANTS)
+        _check_choice("OuterConfig.projection", self.projection, PROJECTIONS)
+        if self.eta is not None:
+            _check_positive("OuterConfig.eta", self.eta)
+        _check_positive("OuterConfig.tol", self.tol)
+        _check_count("OuterConfig.max_iter", self.max_iter)
+        if not isinstance(self.inner, inner_loop.InnerConfig):
+            raise ConfigError(f"OuterConfig.inner: must be an InnerConfig, got {self.inner!r}")
 
 
 def w_matrix(game, P, require_pd=True):
@@ -156,36 +154,31 @@ def _direction(game, ev, cfg):
     return D, eta
 
 
-def projected_step(game, L, D, eta, omega=None):
-    """L' = Proj[L + eta * D], projected only when omega is given and the
-    candidate leaves it. Returns (L', mapping (L' - L)/(2 eta), proj_active).
+def projected_step(game, t, trace, L, D, eta, omega=None):
+    """L' = Proj[L + eta * D] at outer step t, projected only when omega is
+    given and the candidate leaves it. Returns (L', mapping (L' - L)/(2 eta),
+    proj_active). When the candidate or Q - L^T Rv L is not finite, raises
+    ConvergenceError carrying the partial trace, without overflow warnings.
     """
-    cand = L + eta * D
-    Lp = cand if omega is None else project_omega(cand, omega, game)
-    return Lp, (Lp - L) / (2.0 * eta), Lp is not cand  # feasible cand comes back as is
-
-
-def ascent_step(game, t, trace, L, eta, D):
-    """L + eta D at outer step t. When it or Q - L^T Rv L is not finite, raises
-    ConvergenceError carrying the partial trace, without overflow warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        Lp = L + eta * D
-        # a non-finite entry of Lp makes a diagonal entry of Lp^T Rv Lp non-finite
-        finite = np.isfinite(Lp.T.dot(game.Rv).dot(Lp)).all()
+        cand = L + eta * D
+        # a non-finite entry of cand makes a diagonal entry of cand^T Rv cand non-finite
+        finite = np.isfinite(cand.T.dot(game.Rv).dot(cand)).all()
     if not finite:
         e = ConvergenceError(f"outer step {t} diverged: L + eta D or Q - L^T Rv L is not "
                              "finite; the stepsize is likely too large", iterations=t)
         e.trace = trace  # partial progress travels with the failure
         raise e
-    return Lp
+    Lp = cand if omega is None else project_omega(cand, omega, game)
+    return Lp, (Lp - L) / (2.0 * eta), Lp is not cand  # feasible cand comes back as is
 
 
 def _solve_inner_warm(game, L, prev, cfg_inner):
     """Inner solve at L, warm-started from the inner result prev at the
     previous L. The Riccati method starts from prev.P and solves cold when
     that fails, lands on a non-stabilizing root or misses the inner
-    tolerance; the gradient methods start from prev.K while it still
-    stabilizes, else from the Riccati best response."""
+    tolerance; the gradient methods start from prev.K, and from the Riccati
+    best response when prev.K does not stabilize the loop at L."""
     if cfg_inner.method == inner_loop.RICCATI:
         if prev is not None:
             try:
@@ -195,11 +188,13 @@ def _solve_inner_warm(game, L, prev, cfg_inner):
             except (ConvergenceError, DefinitenessError, UnstableError):
                 pass
         return inner_loop.solve_inner(game, L, None, cfg_inner)
-    K0 = prev.K if prev is not None else None
-    if (K0 is None or linalg.spectral_radius(game.A - game.B @ K0 - game.C @ L)
-            >= 1.0 - linalg.STABILITY_MARGIN):
-        K0 = inner_loop.solve_inner_riccati(game, L).K
-    return inner_loop.solve_inner(game, L, K0, cfg_inner)
+    if prev is not None:
+        try:
+            return inner_loop.solve_inner(game, L, prev.K, cfg_inner)
+        except UnstableError as e:
+            if e.iteration != 0:  # lost at a later step: the stepsize, not the start
+                raise
+    return inner_loop.solve_inner(game, L, inner_loop.solve_inner_riccati(game, L).K, cfg_inner)
 
 
 def solve_nested(game, L0, cfg, omega=None):
@@ -212,9 +207,9 @@ def solve_nested(game, L0, cfg, omega=None):
     if cfg.projection == PROJECTION_OFF:
         omega = None
     elif omega is None:
-        raise ValueError("projection WhitenedSvClip requires an OmegaSet")
+        raise ConfigError("solve_nested.omega: projection WhitenedSvClip requires an OmegaSet")
     if omega is not None and omega.margin(L, game) < -1e-9:
-        raise ValueError("L0 lies outside Omega")
+        raise InputError("solve_nested.L0: lies outside Omega")
 
     trace = OuterTrace(meta={
         "variant": cfg.variant,
@@ -230,8 +225,7 @@ def solve_nested(game, L0, cfg, omega=None):
             raise
         ev = inner_res.ev
         D, eta = _direction(game, ev, cfg)
-        ascent_step(game, t, trace, L, eta, D)  # projected_step takes the same step
-        Lp, mapping, proj_active = projected_step(game, L, D, eta, omega)
+        Lp, mapping, proj_active = projected_step(game, t, trace, L, D, eta, omega)
         map_norm = linalg.fro(mapping)
         trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho, grad_map_norm=map_norm,
                                proj_active=proj_active, K=inner_res.K,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError
+from .errors import DimensionError, _check_positive
 
 # sigma_min threshold treated as singular in the stationarity report
 STATIONARY_SINGULAR_TOL = 1e-12
@@ -116,6 +116,7 @@ def check_stationary(game, pi, tol):
     True iff both gradient norms are <= tol, P is PD, Sigma has full rank,
     and (-Rv + C^T P C) is invertible (sigma_min >= 1e-12).
     """
+    _check_positive("check_stationary.tol", tol, zero_ok=True)
     ev = evaluate(game, pi)
     gk = linalg.fro(ev.gradK)
     gl = linalg.fro(ev.gradL)

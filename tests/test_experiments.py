@@ -96,6 +96,18 @@ def test_config_rejects_bad_modelfree_arguments(tmp_path, capsys):
     assert args["inner_steps"] == 10 and args["inner_flavor"] == lq.NATURAL_PG
 
 
+def test_run_experiment_lets_foreign_errors_propagate(tmp_path, monkeypatch):
+    # only the package's own errors are recorded as solver failures; a bare
+    # numpy error is a defect and must fail loudly
+    def broken(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(experiments.outer_loop, "solve_nested", broken)
+    cfg = experiments.ExperimentConfig.from_dict({"game": "case1", "solvers": [NESTED_GN]})
+    with pytest.raises(np.linalg.LinAlgError):
+        experiments.run_experiment(cfg, out_dir=str(tmp_path))
+
+
 def test_modelfree_runs_report_convergence_truthfully(tmp_path):
     # modelfree-inner converges only on a tol it was given and met;
     # modelfree-outer has no tol, so it never claims convergence and fails

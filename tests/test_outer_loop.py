@@ -132,7 +132,7 @@ def test_projected_step_computes_the_candidates_margin_once(g1, nash1, monkeypat
     L, D = np.zeros((1, 3)), np.array([[1.0, -2.0, 0.5]])
     for eta, active in ((1e-3, False), (10.0, True)):
         calls.clear()
-        Lp, mapping, proj_active = outer_loop.projected_step(g1, L, D, eta, om)
+        Lp, mapping, proj_active = outer_loop.projected_step(g1, 0, None, L, D, eta, om)
         assert len(calls) == 1 and proj_active == active
         assert np.array_equal(Lp, lq.project_omega(L + eta * D, om, g1))
         assert np.array_equal(mapping, (Lp - L) / (2.0 * eta))
@@ -162,7 +162,7 @@ def test_outer_step_directions(g1):
     ev = lq.evaluate(g1, lq.PolicyPair(K=res.K, L=L))
 
     def step(cfg):
-        return outer_loop.projected_step(g1, L, *outer_loop._direction(g1, ev, cfg))
+        return outer_loop.projected_step(g1, 0, None, L, *outer_loop._direction(g1, ev, cfg))
 
     Lp, mapping, proj_active = step(lq.OuterConfig(variant=lq.NG, eta=0.1))
     assert np.array_equal(Lp, L + 0.1 * ev.gradL)
@@ -206,6 +206,26 @@ def test_nested_budget_exhaustion_returns_partial(g1):
     assert not trace.converged
     assert len(trace.rows) == 6
     assert pair.L.shape == (1, 3)
+
+
+def test_gradient_inner_warm_start_tests_stability_once_per_evaluation(g1, monkeypatch):
+    # the warm start from the previous K is tested by the inner loop's first
+    # evaluation alone; a separate spectral radius ahead of it repeated that
+    from lqgames import policy
+
+    calls = {"rho": 0, "evaluate": 0}
+    rho, evaluate = linalg.spectral_radius, policy.evaluate
+
+    def counted(name, fn):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or fn(*a)
+
+    monkeypatch.setattr(linalg, "spectral_radius", counted("rho", rho))
+    monkeypatch.setattr(policy, "evaluate", counted("evaluate", evaluate))
+    cfg = lq.OuterConfig(variant=lq.NATURAL_NG, tol=1e-6,
+                         inner=lq.InnerConfig(method=lq.GAUSS_NEWTON, tol=1e-10))
+    _, trace = lq.solve_nested(g1, np.zeros((1, 3)), cfg)
+    assert trace.converged and calls["evaluate"] > len(trace.rows)
+    assert calls["rho"] == calls["evaluate"]
 
 
 def test_nested_rejects_infeasible_start(g1, nash1):

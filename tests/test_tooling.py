@@ -1,6 +1,7 @@
 """The benchmark's layer tracer wraps package functions by name, the demos run,
 and importing the CLI stays light."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -25,6 +26,39 @@ def test_layer_tracer_targets_resolve():
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+PACKAGE = DEMOS.parent / "src" / "lqgames"
+# argparse's way for a type function to reject a value: a usage error, exit 2
+FOREIGN_RAISES = {("cli", "argparse.ArgumentTypeError")}
+
+
+def _builds_package_error(call, module, tree):
+    """Whether call builds an LqGamesError: its callee is one of the error
+    classes, or a function of the module whose every return builds one."""
+    callee = eval(compile(ast.Expression(call.func), module.__name__, "eval"), vars(module))
+    if isinstance(callee, type):
+        return issubclass(callee, lq.LqGamesError)
+    returns = [r.value for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name == getattr(call.func, "id", None)
+               for r in ast.walk(f) if isinstance(r, ast.Return)]
+    return bool(returns) and all(isinstance(r, ast.Call) and _builds_package_error(r, module, tree)
+                                 for r in returns)
+
+
+def test_package_raises_only_its_own_errors():
+    # a bare `raise`, or a re-raise of an error object built elsewhere, is not
+    # a call and passes
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"{lq.__name__}.{path.stem}")
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            source = ast.unparse(node.exc.func)
+            if ((path.stem, source) not in FOREIGN_RAISES
+                    and not _builds_package_error(node.exc, module, tree)):
+                bad.append(f"{path.name}:{node.lineno}: raise {source}(...)")
+    assert bad == []
 
 
 def _env():
