@@ -8,8 +8,9 @@ Subcommands:
   compare  run the solvers and print a side-by-side result table
 
 All subcommands read a JSON config via --config. Exit codes: 0 success,
-1 when any requested solver failed or missed its tolerance, 2 for config
-errors.
+1 when any requested solver failed or missed its tolerance, or when the
+package raised outside any solver (the GARE oracle, say), 2 for config
+errors, a game file that cannot be loaded included.
 """
 
 import argparse
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .errors import ConfigError
+from .errors import ConfigError, LqGamesError
 
 
 def _u64(text):
@@ -136,6 +137,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except LqGamesError as e:  # outside any solver: run_experiment records theirs
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

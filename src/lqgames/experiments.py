@@ -76,28 +76,13 @@ class ExperimentConfig:
         _check_count("ExperimentConfig.seed", self.seed, least=0)
         if not isinstance(self.out, str):
             raise ConfigError(f"ExperimentConfig.out: must be a path, got {self.out!r}")
-
-    @classmethod
-    def from_dict(cls, d, require_solvers=True):
-        if not isinstance(d, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        _check_keys(d, {"game", "solvers", "zeta", "seed", "out"}, "experiment config")
-        cfg = cls(
-            game=d.get("game", "case1"),
-            solvers=list(d.get("solvers", [])),
-            zeta=_coerce(d.get("zeta"), float),
-            seed=_coerce(d.get("seed", 0), int),
-            out=d.get("out", "lqgames_out"),
-        )
-        if require_solvers and not cfg.solvers:
-            raise ConfigError("config lists no solvers")
+        if not isinstance(self.solvers, list):
+            raise ConfigError(f"ExperimentConfig.solvers: must be a list, got {self.solvers!r}")
         seen = set()
-        for spec in cfg.solvers:
-            if not isinstance(spec, dict) or "solver" not in spec:
-                raise ConfigError("each solver entry must be an object with a 'solver' key")
-            if spec["solver"] not in SOLVER_KINDS:
-                raise ConfigError(f"unknown solver kind {spec['solver']!r}; "
-                                  f"expected one of {SOLVER_KINDS}")
+        for spec in self.solvers:
+            if not isinstance(spec, dict) or spec.get("solver") not in SOLVER_KINDS:
+                raise ConfigError(f"each solver entry must be an object whose 'solver' is one "
+                                  f"of {SOLVER_KINDS}, got {spec!r}")
             name = solver_name(spec)
             if name in seen:
                 raise ConfigError(f"duplicate solver name {name!r}")
@@ -109,9 +94,24 @@ class ExperimentConfig:
                     raise ConfigError(f"solver {name!r}: 'inner' must be an object")
                 _check_keys(inner, _field_names(inner_loop.InnerConfig), f"solver {name!r} inner")
             try:  # build the solver's config now, so a bad value fails before any run
-                _solver_config(spec, cfg.seed)
+                _solver_config(spec, self.seed)
             except ConfigError as e:
                 raise ConfigError(f"solver {name!r}: {e}") from None
+
+    @classmethod
+    def from_dict(cls, d, require_solvers=True):
+        if not isinstance(d, dict):
+            raise ConfigError("experiment config must be a JSON object")
+        _check_keys(d, {"game", "solvers", "zeta", "seed", "out"}, "experiment config")
+        cfg = cls(
+            game=d.get("game", "case1"),
+            solvers=d.get("solvers", []),
+            zeta=_coerce(d.get("zeta"), float),
+            seed=_coerce(d.get("seed", 0), int),
+            out=d.get("out", "lqgames_out"),
+        )
+        if require_solvers and not cfg.solvers:
+            raise ConfigError("config lists no solvers")
         return cfg
 
     @classmethod
@@ -186,11 +186,17 @@ def solver_name(spec):
 
 
 def load_game(source):
+    """The built-in game case1 or case2, or the game in the file source. A file
+    that cannot be read or does not hold a valid game is a ConfigError."""
     if source == "case1":
         return game_mod.case1()
     if source == "case2":
         return game_mod.case2()
-    return game_mod.LqGame.load(source)
+    try:
+        return game_mod.LqGame.load(source)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, LqGamesError) as e:
+        raise ConfigError(f"ExperimentConfig.game: cannot load a game from {source}: "
+                          f"{type(e).__name__}: {e}") from None
 
 
 def _parse_gain(value, rows, cols, name, zero=False):
@@ -272,18 +278,18 @@ def _write_plots(out_dir, name, trace, summary):
     oracle_value = summary.get("oracle_value")
     svgplot.line_plot(
         os.path.join(out_dir, f"{name}_cost.svg"),
-        [(name, ts, [r.cost for r in trace.rows])],
+        (name, ts, [r.cost for r in trace.rows]),
         title="Expected cost per outer iteration", xlabel="iteration t",
         ylabel="cost", hline=oracle_value, hline_label="oracle value")
     svgplot.line_plot(
         os.path.join(out_dir, f"{name}_gradmap.svg"),
-        [(name, ts, [r.grad_map_norm for r in trace.rows])],
+        (name, ts, [r.grad_map_norm for r in trace.rows]),
         title="Gradient-mapping norm", xlabel="iteration t",
         ylabel="mapping norm", logy=True)
     zeta = summary.get("zeta")
     svgplot.line_plot(
         os.path.join(out_dir, f"{name}_qtilde.svg"),
-        [(name, ts, [r.lambda_min_qtilde for r in trace.rows])],
+        (name, ts, [r.lambda_min_qtilde for r in trace.rows]),
         title="Constraint margin along the run", xlabel="iteration t",
         ylabel="min eig(Q - L' Rv L)", hline=zeta,
         hline_label="zeta" if zeta is not None else None)

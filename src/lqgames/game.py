@@ -14,10 +14,11 @@ value matrix P* solves the generalized Riccati equation
     M(P) = [[Ru + B^T P B,  B^T P C   ],
             [C^T P B,      -Rv + C^T P C]],
 
-and the equilibrium gains K*, L* are the two block components of the
-M(P*)^{-1} solve above. solve_gare finds P* as the stabilizing solution of
-the discrete Riccati equation with input [B C] and weight diag(Ru, -Rv), by
-linalg.solve_dare: doubling, then Newton steps.
+and the equilibrium gains K*, L* are the two blocks of the one solve
+M(P*) [K*; L*] = [B C]^T P* A. solve_gare finds P* as the stabilizing
+solution of the discrete Riccati equation with input [B C] and weight
+R = diag(Ru, -Rv), by linalg.solve_dare: doubling, then Newton steps. Then
+M(P*) = R + [B C]^T P* [B C], the matrix each Newton step solves with.
 """
 
 import functools
@@ -31,9 +32,6 @@ from .errors import (ConvergenceError, DefinitenessError, DimensionError, InputE
                      _check_count, _check_positive)
 
 GARE_DEFAULT_TOL = 1e-10
-
-# sigma_min below this (relative to scale) counts as singular in block solves
-SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,14 @@ class LqGame:
     def from_json_dict(cls, doc):
         """The game of a to_json_dict document. Its d, m1 and m2 are not read:
         the matrices' shapes give them, and the constructor checks those."""
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+        names = [f.name for f in fields(cls)]
+        if not isinstance(doc, dict):
+            raise InputError(f"a game document must be an object holding {names}, "
+                             f"got a {type(doc).__name__}")
+        missing = [name for name in names if name not in doc]
+        if missing:
+            raise InputError(f"a game document must hold {names}; missing {missing}")
+        return cls(**{name: doc[name] for name in names})
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -148,40 +153,6 @@ class AssumptionReport:
         return self.ql_margin > 0.0
 
 
-def _gare_gains(game, P):
-    """Solve M(P) [K; L] = [B^T P A; C^T P A] by Schur complement on the
-    (2,2) block. Returns (K, L)."""
-    B, C, A = game.B, game.C, game.A
-    M11 = game.Ru + B.T @ P @ B
-    M12 = B.T @ P @ C
-    M22 = -game.Rv + C.T @ P @ C
-    N1 = B.T @ P @ A
-    N2 = C.T @ P @ A
-
-    s22 = np.linalg.svd(M22, compute_uv=False)
-    if s22[-1] <= SINGULAR_TOL * max(1.0, s22[0]):
-        raise DefinitenessError(
-            f"(2,2) block -Rv + C^T P C is singular (sigma_min {s22[-1]:.3e})")
-    M22inv_M21 = np.linalg.solve(M22, M12.T)
-    M22inv_N2 = np.linalg.solve(M22, N2)
-    S = M11 - M12 @ M22inv_M21
-    sS = np.linalg.svd(S, compute_uv=False)
-    if sS[-1] <= SINGULAR_TOL * max(1.0, sS[0]):
-        raise DefinitenessError(
-            f"Schur complement of the block matrix is singular (sigma_min {sS[-1]:.3e})")
-    K = np.linalg.solve(S, N1 - M12 @ M22inv_N2)
-    L = np.linalg.solve(M22, N2 - M12.T @ K)
-    return K, L
-
-
-def _gare_map(game, P):
-    """One application of the Riccati fixed-point map; returns (P_next, K, L)."""
-    K, L = _gare_gains(game, P)
-    A, B, C = game.A, game.B, game.C
-    Pn = game.Q + A.T @ P @ A - (A.T @ P @ B) @ K - (A.T @ P @ C) @ L
-    return 0.5 * (Pn + Pn.T), K, L
-
-
 def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
     """Nash value matrix by Riccati doubling, then Newton steps.
 
@@ -189,20 +160,29 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
     [B C] and the indefinite weight diag(Ru, -Rv), which linalg.solve_dare
     solves: about ten doublings, then Newton steps until one is at most
     max(tol, sqrt(eps) ||P||_F), normally one or two. max_iter caps the
-    Newton steps; iterations counts doublings plus Newton steps. The returned
-    residual is the Frobenius norm of P - map(P) for the game Riccati map,
-    which must be at most tol or, when larger, the roundoff level
-    64 eps ||A||_F^2 ||P||_F of that map.
+    Newton steps; iterations counts doublings plus Newton steps. With
+    N = [B C]^T P A, one solve M(P) [K; L] = N gives the gains, and the map
+    Q + A^T P A - N^T [K; L] the returned residual: the Frobenius norm of
+    P - map(P), which must be at most tol or, when larger, the roundoff level
+    64 eps ||A||_F^2 ||P||_F of that map. A singular M(P) raises
+    DefinitenessError.
     """
     _check_positive("solve_gare.tol", tol)
     _check_count("solve_gare.max_iter", max_iter)
     R = np.block([[game.Ru, np.zeros((game.m1, game.m2))],
                   [np.zeros((game.m2, game.m1)), -game.Rv]])
+    BC = np.hstack([game.B, game.C])
     # Ru and Rv are PD (LqGame checked them), so R's inertia is (m1, m2)
-    P, iterations = linalg.solve_dare(game.A, np.hstack([game.B, game.C]), game.Q, R, tol,
+    P, iterations = linalg.solve_dare(game.A, BC, game.Q, R, tol,
                                       max_steps=max_iter, inertia=(game.m1, game.m2))
-    Pcheck, K, L = _gare_map(game, P)
-    residual = float(np.linalg.norm(Pcheck - P, "fro"))
+    N = BC.T @ P @ game.A
+    try:
+        KL = np.linalg.solve(R + BC.T @ P @ BC, N)
+    except np.linalg.LinAlgError as e:
+        raise DefinitenessError("GARE solution: M(P*) is singular") from e
+    K, L = KL[:game.m1], KL[game.m1:]
+    Pn = game.Q + game.A.T @ P @ game.A - N.T @ KL
+    residual = float(np.linalg.norm(0.5 * (Pn + Pn.T) - P, "fro"))
     bound = max(tol, 64.0 * np.finfo(float).eps * np.linalg.norm(game.A, "fro") ** 2
                 * np.linalg.norm(P, "fro"))
     if residual > bound:

@@ -56,7 +56,10 @@ NEWTON_STOP = np.sqrt(np.finfo(float).eps)
 
 def as_matrix(M, rows=None, cols=None, name="matrix"):
     """Validate and return M as a float64 2-d array with finite entries."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    try:
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+    except (TypeError, ValueError):  # not numbers, or ragged rows
+        raise InputError(f"{name}: not a matrix of numbers") from None
     if M.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-d array, got ndim={M.ndim}")
     if not np.isfinite(M).all():
@@ -207,19 +210,21 @@ def riccati_doubling(A, G, H):
     """
     eye = _eye(A.shape[0])
     for k in range(1, DOUBLING_MAX_STEPS + 1):
-        try:
-            Winv = np.linalg.inv(eye + G @ H)
-        except np.linalg.LinAlgError as e:
-            raise ConvergenceError(f"riccati_doubling: I + G H is singular at doubling {k}",
-                                   iterations=k) from e
-        # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
-        WA, WG = Winv @ A, Winv @ G
-        G = G + A @ WG @ A.T
-        H = H + A.T @ H @ WA
-        A = A @ WA
-        G = 0.5 * (G + G.T)
-        H = 0.5 * (H + H.T)
-        with np.errstate(over="ignore"):  # an overflow is caught just below
+        # an overflow, or the inf - inf it leads to, is caught just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                Winv = np.linalg.inv(eye + G @ H)
+            except np.linalg.LinAlgError as e:
+                raise ConvergenceError(
+                    f"riccati_doubling: I + G H is singular at doubling {k}",
+                    iterations=k) from e
+            # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
+            WA, WG = Winv @ A, Winv @ G
+            G = G + A @ WG @ A.T
+            H = H + A.T @ H @ WA
+            A = A @ WA
+            G = 0.5 * (G + G.T)
+            H = 0.5 * (H + H.T)
             tail = float((A * A).sum())
         if not (np.isfinite(tail) and np.isfinite(H).all() and np.isfinite(G).all()):
             raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",

@@ -1,6 +1,6 @@
 """Minimal SVG 1.1 line plots, no plotting dependency.
 
-Renders polyline series with axes, ticks, an optional horizontal reference
+Renders one polyline series with axes, ticks, an optional horizontal reference
 rule, and an optional log-scale y axis. Output is deterministic: coordinates
 are formatted with fixed precision so identical data produces identical
 bytes.
@@ -10,8 +10,7 @@ import math
 
 WIDTH, HEIGHT = 720, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 44, 52
-
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+COLOR = "#1f77b4"
 
 
 def escape(text):
@@ -52,29 +51,24 @@ def _tick_label(v, logy):
 
 def line_plot(path, series, title="", xlabel="", ylabel="", logy=False, hline=None,
               hline_label=None):
-    """Write a line plot to path.
+    """Write a line plot of one series to path.
 
-    series: list of (label, xs, ys). With logy, non-positive y values are
-    dropped from the drawing (they have no finite log position); hline is a
+    series: (label, xs, ys). With logy, non-positive y values are dropped
+    from the drawing (they have no finite log position); hline is a
     horizontal reference value in data units.
     """
-    pts_all = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if logy and y <= 0.0:
-                continue
-            pts_all.append((float(x), math.log10(y) if logy else float(y)))
+    label, xs, ys = series
+    points = [(float(x), math.log10(y) if logy else float(y)) for x, y in zip(xs, ys)
+              if math.isfinite(x) and math.isfinite(y) and not (logy and y <= 0.0)]
     hval = None
     if hline is not None and math.isfinite(hline) and not (logy and hline <= 0.0):
         hval = math.log10(hline) if logy else float(hline)
 
-    if pts_all:
-        xlo = min(p[0] for p in pts_all)
-        xhi = max(p[0] for p in pts_all)
-        ylo = min(p[1] for p in pts_all)
-        yhi = max(p[1] for p in pts_all)
+    if points:
+        xlo = min(p[0] for p in points)
+        xhi = max(p[0] for p in points)
+        ylo = min(p[1] for p in points)
+        yhi = max(p[1] for p in points)
     else:
         xlo, xhi, ylo, yhi = 0.0, 1.0, 0.0, 1.0
     if hval is not None:
@@ -145,25 +139,16 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logy=False, hline=No
                        f'text-anchor="end" font-family="sans-serif" font-size="11" '
                        f'fill="#555">{escape(hline_label)}</text>')
 
-    for idx, (label, xs, ys) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        pts = []
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if logy and y <= 0.0:
-                continue
-            yy = math.log10(y) if logy else y
-            pts.append(f"{_fmt(sx(x))},{_fmt(sy(yy))}")
-        if pts:
-            out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                       f'points="{" ".join(pts)}"/>')
-        ly = MARGIN_T + 16 + 15 * idx
-        out.append(f'<line x1="{MARGIN_L + iw - 130}" y1="{ly - 4}" '
-                   f'x2="{MARGIN_L + iw - 110}" y2="{ly - 4}" stroke="{color}" '
-                   f'stroke-width="2"/>')
-        out.append(f'<text x="{MARGIN_L + iw - 105}" y="{ly}" '
-                   f'font-family="sans-serif" font-size="11">{escape(label)}</text>')
+    if points:
+        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in points)
+        out.append(f'<polyline fill="none" stroke="{COLOR}" stroke-width="1.5" '
+                   f'points="{pts}"/>')
+    ly = MARGIN_T + 16
+    out.append(f'<line x1="{MARGIN_L + iw - 130}" y1="{ly - 4}" '
+               f'x2="{MARGIN_L + iw - 110}" y2="{ly - 4}" stroke="{COLOR}" '
+               f'stroke-width="2"/>')
+    out.append(f'<text x="{MARGIN_L + iw - 105}" y="{ly}" '
+               f'font-family="sans-serif" font-size="11">{escape(label)}</text>')
 
     out.append("</svg>")
     with open(path, "w") as fh:

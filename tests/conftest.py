@@ -41,6 +41,13 @@ def k1_at_zero(g1):
     return lq.solve_inner_riccati(g1, np.zeros((g1.m2, g1.d))).K
 
 
+def no_saddle_game():
+    """A game without a saddle point: P >= Q = 1 at any solution of its
+    Riccati equation, so Rv - C^T P C < 0."""
+    return lq.LqGame(A=[[1.5]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], Ru=[[1.0]], Rv=[[1.0]],
+                     Sigma0=[[1.0]])
+
+
 def stabilizing_start(game):
     """Riccati best response to L = 0, paired with L = 0."""
     L0 = np.zeros((game.m2, game.d))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import lqgames as lq
-from lqgames import cli, experiments
+from lqgames import cli, experiments, svgplot
 from lqgames.trace import CSV_HEADER, OuterTrace, TraceRow
+
+from conftest import no_saddle_game
 
 
 def _write_config(path, d):
@@ -159,6 +161,52 @@ def test_config_rejects_missing_or_broken_files(tmp_path):
         experiments.ExperimentConfig.load(str(listy))
 
 
+def test_a_directly_built_config_is_checked_like_a_loaded_one():
+    for solvers, match in (([NESTED_GN, dict(NESTED_GN)], "duplicate solver name"),
+                           ([{"solver": "nested", "tolerance": 1e-9}], "unknown keys"),
+                           ([{"solver": "newton"}], "'solver'"),
+                           ([{"variant": "NG"}], "'solver'")):
+        with pytest.raises(lq.ConfigError, match=match):
+            experiments.ExperimentConfig(solvers=solvers)
+
+
+_CASE1_DOC = lq.case1().to_json_dict()
+MALFORMED_GAME_FILES = {
+    "not-utf8": "\udcff",
+    "not-json": "{not json",
+    "missing-B": json.dumps({k: v for k, v in _CASE1_DOC.items() if k != "B"}),
+    "top-level-list": json.dumps([_CASE1_DOC]),
+    "strings": json.dumps(dict(_CASE1_DOC, B=[["a"], ["b"], ["c"]])),
+    "ragged": json.dumps(dict(_CASE1_DOC, A=[[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GAME_FILES))
+def test_cli_rejects_a_malformed_game_file_as_a_config_error(tmp_path, capsys, case):
+    game = tmp_path / "game.json"
+    game.write_text(MALFORMED_GAME_FILES[case], errors="surrogateescape")
+    cfg = _write_config(tmp_path / "cfg.json", {"game": str(game), "solvers": [NESTED_GN]})
+    out = tmp_path / "out"
+    for cmd in ("run", "compare", "oracle"):
+        argv = [cmd, "--config", cfg] + ([] if cmd == "oracle" else ["--out", str(out)])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ExperimentConfig.game:") and str(game) in err
+    assert not out.exists()
+
+
+def test_cli_reports_a_failed_oracle_without_a_traceback(tmp_path, capsys):
+    game = tmp_path / "game.json"
+    no_saddle_game().save(game)  # the oracle fails
+    cfg = _write_config(tmp_path / "cfg.json", {"game": str(game), "solvers": [NESTED_GN]})
+    out = tmp_path / "out"
+    for cmd in ("run", "compare", "oracle"):
+        argv = [cmd, "--config", cfg] + ([] if cmd == "oracle" else ["--out", str(out)])
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ConvergenceError: riccati_doubling")
+    assert not out.exists()
+
+
 def test_config_reads_dataclass_defaults_and_coerces_numbers():
     spec = {"solver": "nested", "tol": 1, "max_iter": 5.0, "inner": {"max_iter": 7.0}}
     cfg = experiments._config(lq.OuterConfig(), spec,
@@ -286,6 +334,17 @@ def test_plots_match_the_reparsed_artifacts(case2_run, tmp_path):
     summary = experiments.run_experiment(cfg, out_dir=str(out1))
     assert all("error" not in s for s in summary["solvers"].values())
     _assert_plots_match_reparsed_artifacts(str(out1), summary["solvers"], tmp_path / "again")
+
+
+def test_line_plot_draws_the_one_series_it_is_given(tmp_path):
+    path = tmp_path / "plot.svg"
+    svgplot.line_plot(str(path), ("run", [0, 1, 2, 3], [1.0, math.nan, -1.0, 0.01]),
+                      logy=True)
+    text = path.read_text()
+    assert text.count("<polyline") == 1 and text.count(">run</text>") == 1
+    # the NaN and the non-positive value have no place on a log axis
+    points = text.split('points="')[1].split('"')[0].split()
+    assert len(points) == 2
 
 
 def _trace_of(costs, map_norms):

@@ -6,6 +6,8 @@ import scipy.linalg
 
 import lqgames as lq
 
+from conftest import no_saddle_game
+
 # Benchmark equilibrium matrices for the two built-in cases (external oracle,
 # frozen before the solver existed).
 P1_EXPECTED = np.array([
@@ -225,3 +227,28 @@ def test_open_loop_case1_is_unstable(g1):
 def test_game_data_is_immutable(g1):
     with pytest.raises(ValueError):
         g1.A[0, 0] = 0.0
+
+
+def test_gare_without_a_saddle_point_raises_a_typed_error_and_no_warning():
+    # pytest turns RuntimeWarnings into errors (pyproject.toml): an overflow
+    # warning on the way would surface instead of the typed failure
+    with pytest.raises(lq.ConvergenceError, match="non-finite iterate"):
+        lq.solve_gare(no_saddle_game())
+
+
+def test_gare_with_a_singular_m_raises_definiteness_error(monkeypatch):
+    # at P = 2, M(P) = [[Ru + P, P], [P, -Rv + P]] = [[4, 2], [2, 1]] is singular
+    game = lq.LqGame(A=[[0.5]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], Ru=[[2.0]], Rv=[[1.0]],
+                     Sigma0=[[1.0]])
+    monkeypatch.setattr(lq.linalg, "solve_dare", lambda *a, **kw: (np.array([[2.0]]), 1))
+    with pytest.raises(lq.DefinitenessError, match="M\\(P\\*\\) is singular"):
+        lq.solve_gare(game)
+
+
+def test_game_documents_name_what_they_lack():
+    doc = lq.case1().to_json_dict()
+    with pytest.raises(lq.InputError, match="got a list"):
+        lq.LqGame.from_json_dict([doc])
+    del doc["B"], doc["Sigma0"]
+    with pytest.raises(lq.InputError, match=r"missing \['B', 'Sigma0'\]"):
+        lq.LqGame.from_json_dict(doc)

@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg
 
 import lqgames.linalg as lin
-from lqgames import ConvergenceError, DimensionError, NotSymmetricError, UnstableError
+from lqgames import (ConvergenceError, DimensionError, InputError, NotSymmetricError,
+                     UnstableError)
 
 # both sides of the Kronecker / Smith-doubling switch at DLYAP_DIRECT_MAX_DIM = 8
 DLYAP_DIMS = (3, 8, 9, 24, 48)
@@ -272,3 +273,9 @@ def test_svd_reconstructs():
     M = rng.normal(size=(1, 3))
     U, s, V = lin.svd(M)
     assert np.allclose((U * s) @ V.T, M, atol=1e-13)
+
+
+@pytest.mark.parametrize("value", [[["a", "b"]], [[1.0, 2.0], [3.0]], [[{}]]])
+def test_as_matrix_names_a_matrix_that_is_not_numbers(value):
+    with pytest.raises(InputError, match="B: not a matrix of numbers"):
+        lin.as_matrix(value, name="B")
