@@ -92,9 +92,10 @@ def run_ag(game, pi0, cfg):
         for j in range(cfg.inner_iters):
             ev = _evaluate_at(game, K, L, f"outer step {t}, inner step {j}")
             if cfg.inner_tol > 0.0 and linalg.fro(ev.gradK) <= cfg.inner_tol:
-                break
+                break  # ev is the evaluation at this (K, L)
             K = inner_loop._step_from_eval(game, K, ev, icfg)
-        ev = _evaluate_at(game, K, L, f"outer step {t}, after inner loop")
+        else:
+            ev = _evaluate_at(game, K, L, f"outer step {t}, after inner loop")
         D = _l_direction(game, ev, cfg.flavor)
         map_norm = 0.5 * linalg.fro(D)
         trace.append(trace_row(game, t, L, ev.cost, ev.gradL, ev.rho,

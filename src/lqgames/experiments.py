@@ -212,15 +212,25 @@ def _parse_gain(value, rows, cols, name, zero=False):
     return arr
 
 
-def _run_nested(game, spec, cfg, omega):
-    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0", zero=True)
-    _, trace = outer_loop.solve_nested(game, L0, cfg, omega)
+def _spec_gains(game, spec):
+    """The gains a solver spec gives (K0, and L0 or L), checked against the
+    game's shapes: an absent K0 is None, an absent L0 or L zeros. A gain
+    of the wrong shape is a ConfigError naming the solver."""
+    keys = [key for key in ("K0", "L0", "L") if key in SPEC_KEYS[spec["solver"]]]
+    try:
+        return {key: _parse_gain(spec.get(key), game.m1 if key == "K0" else game.m2, game.d,
+                                 key, zero=key != "K0") for key in keys}
+    except ConfigError as e:
+        raise ConfigError(f"solver {solver_name(spec)!r}: {e}") from None
+
+
+def _run_nested(game, gains, cfg, omega):
+    _, trace = outer_loop.solve_nested(game, gains["L0"], cfg, omega)
     return trace
 
 
-def _run_baseline(game, spec, cfg):
-    K0 = _parse_gain(spec.get("K0"), game.m1, game.d, "K0")
-    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0", zero=True)
+def _run_baseline(game, gains, cfg):
+    K0, L0 = gains["K0"], gains["L0"]
     if K0 is None:  # a stabilizing start: the best response to L0 (A may be unstable)
         K0 = inner_loop.solve_inner_riccati(game, L0).K
     run = baselines.run_ag if cfg.family == baselines.AG else baselines.run_gda
@@ -228,9 +238,8 @@ def _run_baseline(game, spec, cfg):
     return trace
 
 
-def _run_modelfree_inner(game, spec, cfg, args):
-    L = _parse_gain(spec.get("L"), game.m2, game.d, "L", zero=True)
-    K0 = _parse_gain(spec.get("K0"), game.m1, game.d, "K0")
+def _run_modelfree_inner(game, gains, cfg, args):
+    L, K0 = gains["L"], gains["K0"]
     if K0 is None:
         K0 = inner_loop.solve_inner_riccati(game, L).K
     trace = OuterTrace(meta={"variant": f"modelfree-inner-{args['flavor']}"})
@@ -252,24 +261,24 @@ def _run_modelfree_inner(game, spec, cfg, args):
     return trace
 
 
-def _run_modelfree_outer(game, spec, omega, cfg, args):
-    L0 = _parse_gain(spec.get("L0"), game.m2, game.d, "L0", zero=True)
+def _run_modelfree_outer(game, spec, gains, omega, cfg, args):
     use_omega = omega if spec.get("projection") == outer_loop.PROJECTION_WHITENED_SV_CLIP else None
     # no tolerance: the run takes its T steps and does not claim convergence
-    _, trace = modelfree.outer_ng_modelfree(game, L0, cfg, omega=use_omega, **args)
+    _, trace = modelfree.outer_ng_modelfree(game, gains["L0"], cfg, omega=use_omega, **args)
     return trace
 
 
-def run_solver(game, spec, omega, seed):
+def run_solver(game, spec, gains, omega, seed):
+    """Run one solver spec on game from its checked gains (_spec_gains)."""
     kind = spec["solver"]
     cfg = _solver_config(spec, seed)
     if kind == "nested":
-        return _run_nested(game, spec, cfg, omega)
+        return _run_nested(game, gains, cfg, omega)
     if kind in ("ag", "gda"):
-        return _run_baseline(game, spec, cfg)
+        return _run_baseline(game, gains, cfg)
     if kind == "modelfree-inner":
-        return _run_modelfree_inner(game, spec, *cfg)
-    return _run_modelfree_outer(game, spec, omega, *cfg)
+        return _run_modelfree_inner(game, gains, *cfg)
+    return _run_modelfree_outer(game, spec, gains, omega, *cfg)
 
 
 def _write_plots(out_dir, name, trace, summary):
@@ -303,6 +312,7 @@ def run_experiment(cfg, out_dir=None, seed=None):
         _check_count("run_experiment.seed", seed, least=0)
     base_seed = cfg.seed if seed is None else seed
     gm = load_game(cfg.game)
+    gains = [_spec_gains(gm, spec) for spec in cfg.solvers]  # before any solve or write
     nash = game_mod.solve_gare(gm)
     report = game_mod.check_assumptions(gm, nash)
     omega = outer_loop.OmegaSet.for_game(gm, zeta=cfg.zeta, nash=nash)
@@ -312,10 +322,10 @@ def run_experiment(cfg, out_dir=None, seed=None):
 
     solvers = {}
     failing = []
-    for spec in cfg.solvers:
+    for spec, spec_gains in zip(cfg.solvers, gains):
         name = solver_name(spec)
         try:
-            trace = run_solver(gm, spec, omega, base_seed)
+            trace = run_solver(gm, spec, spec_gains, omega, base_seed)
             trace.meta.setdefault("zeta", float(omega.zeta))
             trace.meta.setdefault("nu", nu)
             trace.write_csv(os.path.join(out_dir, f"{name}.csv"))

@@ -88,7 +88,7 @@ def natural_pg_update(K, grad, Sigma, alpha):
 
 
 def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS,
-                        P0=None):
+                        P0=None, *, _trusted=False):
     """Best response K(L) from the inner Riccati equation, by linalg.solve_dare
     on (At_L, B, Qt_L, Ru): a few doublings from zero, or the warm start P0
     (say, the solution at a nearby L), then Newton steps until one is at most
@@ -101,16 +101,21 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_M
     in practice) and only reported as the likely cause when the solve fails.
     A warm start on a non-stabilizing root of the equation stays there and
     fails with UnstableError.
+
+    _trusted (private) skips the checks of the arguments, for the package's
+    own callers: L a float64 m2 x d matrix it has checked or built, and P0
+    None or the P of an earlier result, which is exactly symmetric.
     """
-    _check_positive("solve_inner_riccati.tol", tol)
-    _check_count("solve_inner_riccati.max_iter", max_iter)
-    L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
+    if not _trusted:
+        _check_positive("solve_inner_riccati.tol", tol)
+        _check_count("solve_inner_riccati.max_iter", max_iter)
+        L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
+        if P0 is not None:
+            P0 = linalg.symmetrize(P0, name="P0")
     Qt = game.Q - L.T.dot(game.Rv).dot(L)
     Qt = 0.5 * (Qt + Qt.T)
     At = game.A - game.C.dot(L)
     B, Ru = game.B, game.Ru
-    if P0 is not None:
-        P0 = linalg.symmetrize(P0, name="P0")
     try:
         # Ru is PD (LqGame checked it), so its inertia is (m1, 0)
         P, iterations = linalg.solve_dare(At, B, Qt, Ru, tol, X0=P0, max_steps=max_iter,
@@ -161,7 +166,7 @@ def solve_inner(game, L, K0, cfg):
     """
     L = linalg.as_matrix(L, rows=game.m2, cols=game.d, name="L")
     if cfg.method == RICCATI:
-        res = solve_inner_riccati(game, L)
+        res = solve_inner_riccati(game, L, _trusted=True)
         if res.final_grad_norm > cfg.tol:
             raise ConvergenceError(
                 f"Riccati inner solve left ||gradK|| = {res.final_grad_norm:.3e} "

@@ -33,7 +33,12 @@ through linalg.as_matrix.
 Randomness is counter-based: every draw comes from the engine's Philox
 generator re-keyed to (seed, stream index), one stream per draw block. Results
 are bit-reproducible for a fixed seed no matter how trajectories are scheduled,
-and per-trajectory values are row slices of one vectorized draw.
+and per-trajectory values are row slices of one vectorized draw. An initial
+state is x0 = chol(Sigma0) z for a standard normal row z, each entry summed
+over the lower triangular factor's row in order, one elementwise product at
+a time, so a row's floats do not depend on how many rows are drawn with it;
+the rollouts draw each estimate's initial states chunk by chunk from its
+stream.
 
 The outer estimate runs in lock-step. Its stream order is that of the
 sequential schedule, in which the inner solve at perturbed maximizer gain i
@@ -54,9 +59,11 @@ their verdicts come from a Schur-Cohn test on each loop's characteristic
 polynomial, scaled by 1 - STABILITY_MARGIN, so the margin is the one linalg
 applies; larger games are screened by batched eigvals on the chunk. The
 screen keeps only its verdicts and the few loops whose radius eigvals must
-decide, so an estimate's memory beyond its draws (U, x0), perturbed gains
-and costs is bounded by one chunk. Eigenvalues are computed only where a
-radius is reported: the first failing sample's in the SampleError message,
+decide. The perturbed gains K + U are formed one chunk at a time, by the
+screen and by the rollouts, which also draw the initial states chunk by
+chunk, so an estimate's memory beyond its perturbations U and its costs is
+bounded by one chunk. Eigenvalues are computed only where a radius is
+reported: the first failing sample's in the SampleError message,
 estimate_inner's rho_max (eigvals on a strided probe first, then on the few
 loops the per-chunk Schur-Cohn test cannot place below the probe's
 maximum), and estimate_outer's screen of its at most m inner responses,
@@ -100,9 +107,9 @@ RHO_PROBE_STRIDE = 64
 # d = 4, 75 at d = 5, 120 at d = 6, 250 at d = 8, 330 at d = 10 and 1300 at
 # d = 20.
 ROLLOUT_DOUBLING_R_PER_D2 = 3
-# Doubling rollouts and the stability screen work on chunks of at most
+# Both rollout kernels and the stability screen work on chunks of at most
 # max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories (1820 at d = 3), so each
-# of their work arrays holds about this many entries (the rollout keeps six,
+# of their work arrays holds about this many entries (doubling keeps six,
 # the screen a few); at d = 3 chunks of 1024 to 8192 trajectories took about
 # the same time.
 ROLLOUT_SLICE_ENTRIES = 16_384
@@ -139,8 +146,47 @@ class GradEstimate:
 
 def _sphere(gen, m, rows, cols, radius):
     w = gen.standard_normal((m, rows * cols))
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
-    return (radius * w / norms).reshape(m, rows, cols)
+    # the floats of radius * w / np.linalg.norm(w, axis=1), scaled in place
+    norms = np.sqrt(np.add.reduce(w * w, axis=1))
+    w *= radius
+    w /= norms[:, None]
+    return w.reshape(m, rows, cols)
+
+
+class _PerturbedGains:
+    """The gains K_p + U[p, i] of P pairs of k trajectories, for base gains K
+    (P, m1, d) and perturbations U (P, k, m1, d), formed only where read:
+    [p, t], for slices p of pairs and t of trajectories, returns that block
+    of the (P, k, m1, d) stack, with the floats of K[:, None] + U."""
+
+    def __init__(self, K, U):
+        self.K, self.U = K, U
+        self.shape = U.shape
+
+    def __getitem__(self, block):
+        p, t = block
+        return self.K[p, None] + self.U[p, t]
+
+
+class _StreamedStates:
+    """The initial states of P pairs of k trajectories, pair i's drawn from
+    stream streams[i] of the engine as the rollout walks its chunks:
+    [p, t] draws rows t of the pairs p, (pairs, trajectories, d). Read the
+    chunks in the order _chunks yields them, and key no other stream until
+    the walk ends: a pair cut into several chunks draws its later rows from
+    the stream that its first chunk keyed. Each pair's rows are those of
+    draw_x0(k) on its stream, however the walk cuts them."""
+
+    def __init__(self, engine, streams, k):
+        self.engine, self.streams = engine, streams
+        self.shape = (len(streams), k, engine.game.d)
+
+    def __getitem__(self, block):
+        p, t = block
+        eng = self.engine
+        n, d = len(range(self.shape[1])[t]), self.shape[2]
+        return eng._x0(np.stack([(eng._generator(s) if t.start == 0 else eng._gen)
+                                 .standard_normal((n, d)) for s in self.streams[p]]))
 
 
 def _eig_radii(Acl):
@@ -328,16 +374,27 @@ class RolloutEngine:
         self._stream += 1
         return gen
 
-    def _x0(self, gen, m):
-        """m Gaussian initial states with covariance Sigma0, as an (m, d) array."""
-        return gen.standard_normal((m, self.game.d)) @ self._chol.T
+    def _x0(self, z):
+        """Gaussian initial states with covariance Sigma0 from standard normal
+        rows z (..., d): x_i = sum_{j <= i} chol_ij z_j for the lower
+        Cholesky factor chol, summed in order of j one elementwise product
+        at a time, so that a row's floats do not depend on the rows drawn
+        with it (a BLAS product's can)."""
+        c = self._chol
+        x = np.empty_like(z)
+        for i in range(self.game.d):
+            x[..., i] = c[i, 0] * z[..., 0]
+            for j in range(1, i + 1):
+                x[..., i] += c[i, j] * z[..., j]
+        return x
 
     def draw_perturbations(self, m, rows, cols, radius):
         """m independent Frobenius-sphere perturbations as an (m, rows, cols) stack."""
         return _sphere(self._next_gen(), m, rows, cols, radius)
 
     def draw_x0(self, m):
-        return self._x0(self._next_gen(), m)
+        """m Gaussian initial states with covariance Sigma0 as an (m, d) array."""
+        return self._x0(self._next_gen().standard_normal((m, self.game.d)))
 
     def _closed_loops(self, K, L):
         """(P, k, d, d) closed loops A - C L - B K of the gains K (P, k, m1, d)
@@ -347,8 +404,9 @@ class RolloutEngine:
 
     def _screen(self, Kp, L, rho_hat=None):
         """Stability verdicts for the closed loops A - C L_p - B Kp[p, i] of
-        the perturbed gains Kp (P, k, m1, d) against L (P, m2, d), walked in
-        the rollout's chunks, so no array spans more than one chunk's loops.
+        the perturbed gains Kp (P, k, m1, d), an array or _PerturbedGains,
+        against L (P, m2, d), walked in the rollout's chunks, so no array
+        spans more than one chunk's loops.
 
         Returns the (P, k) mask of rho < 1 - STABILITY_MARGIN and, given
         rho_hat, the (P, k) mask of loops whose radius the screen cannot
@@ -395,8 +453,10 @@ class RolloutEngine:
     def _rollout(self, K, L, x0, R):
         """Batched R-step rollouts of P gain pairs with k trajectories each.
 
-        K is (P, k, m1, d), one minimizer gain per trajectory; L is
-        (P, m2, d); x0 is (P, k, d); R >= 1. Returns the (P, k) cost sums and
+        K is (P, k, m1, d), one minimizer gain per trajectory, an array or
+        _PerturbedGains; L is (P, m2, d); x0 is (P, k, d), an array or
+        _StreamedStates; R >= 1. Both kernels read K and x0 one chunk of
+        _chunks at a time, in order. Returns the (P, k) cost sums and
         the (P, d, d) state correlation sums over each pair's trajectories
         and steps. Every pair is computed alone, so a result does not depend
         on what else is in the stack. The sums are built by doubling from
@@ -442,11 +502,12 @@ class RolloutEngine:
         return cost, np.moveaxis(S, -1, 0)
 
     def _rollout_steps(self, K, L, x0, R):
-        """_rollout by stepping R times.
+        """_rollout by stepping R times, chunk by chunk.
 
-        The state and the control share one (P, d + m1, k) array z = [x; u],
-        so that x' = [A - C L, -B] z, the stage cost z' diag(Q - L'Rv L, Ru) z
-        and the correlation sum z z' each take one batched product.
+        The state and the control share one (pairs, d + m1, trajectories)
+        array z = [x; u], so that x' = [A - C L, -B] z, the stage cost
+        z' diag(Q - L'Rv L, Ru) z and the correlation sum z z' each take one
+        batched product.
         """
         g = self.game
         d, m1 = g.d, g.m1
@@ -455,43 +516,56 @@ class RolloutEngine:
         W = np.zeros((P, d + m1, d + m1))
         W[:, :d, :d] = g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L
         W[:, d:, d:] = g.Ru
-        Kt = np.ascontiguousarray(np.moveaxis(K, 1, -1))  # (P, m1, d, k)
-        z, z_next = np.empty((P, d + m1, k)), np.empty((P, d + m1, k))
-        z[:, :d] = np.swapaxes(x0, 1, 2)
-        cost = np.zeros((P, k))
+        cost = np.empty((P, k))
         S = np.zeros((P, d + m1, d + m1))
-        for t in range(R):
-            np.einsum("paik,pik->pak", Kt, z[:, :d], out=z[:, d:])
-            cost += np.einsum("pik,pik->pk", z, W @ z)
-            S += z @ np.swapaxes(z, 1, 2)
-            if t + 1 < R:
-                np.matmul(F, z, out=z_next[:, :d])
-                z, z_next = z_next, z
+        for p, t in _chunks(P, k, d):
+            Kt = np.ascontiguousarray(np.moveaxis(K[p, t], 1, -1))  # (pairs, m1, d, k)
+            x = x0[p, t]
+            z = np.empty((x.shape[0], d + m1, x.shape[1]))
+            z_next = np.empty_like(z)
+            z[:, :d] = np.swapaxes(x, 1, 2)
+            c = np.zeros(x.shape[:2])
+            Fp, Wp, Sp = F[p], W[p], S[p]  # Sp is a view: its sums land in S
+            for step in range(R):
+                np.einsum("paik,pik->pak", Kt, z[:, :d], out=z[:, d:])
+                c += np.einsum("pik,pik->pk", z, Wp @ z)
+                Sp += z @ np.swapaxes(z, 1, 2)
+                if step + 1 < R:
+                    np.matmul(Fp, z, out=z_next[:, :d])
+                    z, z_next = z_next, z
+            cost[p, t] = c
         return cost, S[:, :d, :d]
 
-    def _estimates(self, Kp, L, U, x0, R, r):
+    def _estimates(self, Kp, L, x0, R, r):
         """One-point (gradK, Sigma) estimates at P stable pairs at once: the
-        perturbed gains Kp (P, k, m1, d) = K + U, L (P, m2, d), x0 (P, k, d).
-        Returns grad (P, m1, d), Sigma (P, d, d) and the (P, k) costs."""
+        perturbed gains Kp = _PerturbedGains(K, U), L (P, m2, d), and the
+        initial states x0 (P, k, d) of _rollout. Returns grad (P, m1, d),
+        Sigma (P, d, d) and the (P, k) costs."""
         g = self.game
-        k = U.shape[1]
+        k = Kp.shape[1]
         cost, S = self._rollout(Kp, L, x0, R)
         dim = g.m1 * g.d
-        grad = (dim / (k * r * r)) * np.einsum("pk,pkij->pij", cost, U)
+        grad = (dim / (k * r * r)) * np.einsum("pk,pkij->pij", cost, Kp.U)
         Sigma = S / k
         return grad, 0.5 * (Sigma + np.swapaxes(Sigma, 1, 2)), cost
 
     def estimate_inner(self, K, L, m, R, r):
-        """Zeroth-order (gradK, Sigma) estimate at (K, L) by perturbing K."""
+        """Zeroth-order (gradK, Sigma) estimate at (K, L) by perturbing K.
+
+        The perturbations U come from the next stream and the initial states
+        from the one after it, drawn chunk by chunk during the rollout; both
+        streams are taken before the screen, so a SampleError leaves the
+        engine where a finished estimate would."""
         _check_count("RolloutEngine.estimate_inner.m", m)
         _check_count("RolloutEngine.estimate_inner.R", R)
         _check_positive("RolloutEngine.estimate_inner.r", r)
         g = self.game
         K = linalg.as_matrix(K, g.m1, g.d, "K")[None]
         L = linalg.as_matrix(L, g.m2, g.d, "L")[None]
-        U = self.draw_perturbations(m, g.m1, g.d, r)[None]
-        x0 = self.draw_x0(m)[None]
-        Kp = K[:, None] + U
+        stream = self._stream
+        self._stream += 2
+        U = _sphere(self._generator(stream), m, g.m1, g.d, r)[None]
+        Kp = _PerturbedGains(K, U)
         # rho_max: eigvals on a strided probe gives rho_hat, the screen places
         # most loops below it chunk by chunk, and eigvals decides the few it
         # cannot. That is exact unless a loop's eigvals and characteristic
@@ -504,8 +578,10 @@ class RolloutEngine:
             raise failure[1]
         rho_max = rho_hat
         if near.any():
-            rho_max = max(rho_max, float(_eig_radii(self._closed_loops(Kp[near][None], L)).max()))
-        grad, Sigma, cost = self._estimates(Kp, L, U, x0, R, r)
+            rho_max = max(rho_max, float(_eig_radii(self._closed_loops((K + U[near])[None],
+                                                                       L)).max()))
+        x0 = _StreamedStates(self, [stream + 1], m)
+        grad, Sigma, cost = self._estimates(Kp, L, x0, R, r)
         return GradEstimate(grad=grad[0], Sigma=Sigma[0],
                             cost_mean=float(cost.mean()), cost_std=float(cost.std()),
                             m=m, rho_max=rho_max)
@@ -588,17 +664,16 @@ class RolloutEngine:
         for j in range(steps):
             U = np.stack([_sphere(self._generator(s + 2 * j), k, g.m1, g.d, r)
                           for s in streams[:n]])
-            Kp = K[:n, None] + U
+            Kp = _PerturbedGains(K[:n], U)
             failure = self._first_unstable(Kp, Ls[:n], self._screen(Kp, Ls[:n])[0], r)
             if failure is not None:
                 n = failure[0]
                 error = (n, _at_inner_step(j, failure[1]))
                 if n == 0:
                     break
-                Kp, U = Kp[:n], U[:n]
-            x0 = np.stack([self._x0(self._generator(s + 2 * j + 1), k)
-                           for s in streams[:n]])
-            grad, Sigma, _ = self._estimates(Kp, Ls[:n], U, x0, R, r)
+                Kp = _PerturbedGains(K[:n], U[:n])
+            x0 = _StreamedStates(self, streams[:n] + 2 * j + 1, k)
+            grad, Sigma, _ = self._estimates(Kp, Ls[:n], x0, R, r)
             K[:n], ok = _inner_update(g, K[:n], grad, Sigma, alpha, flavor)
             diverged = np.flatnonzero(~ok)
             if diverged.size:
@@ -641,7 +716,7 @@ def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL
             raise _at_inner_step(j, e) from e
         if record is not None:
             record(j, K, est)
-        if j == steps or (tol is not None and np.linalg.norm(est.grad, "fro") <= tol):
+        if j == steps or (tol is not None and linalg.fro(est.grad) <= tol):
             return K
         K, ok = _inner_update(game, K, est.grad, est.Sigma, alpha, flavor)
         if not ok:
@@ -693,7 +768,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
             D = np.linalg.solve(est.Sigma, est.grad.T).T
         Lp, mapping, proj_active = outer_loop.projected_step(game, t, trace, L, D, eta, omega)
         trace.append(trace_row(game, t, L, est.cost_mean, est.grad, est.rho_max,
-                               grad_map_norm=float(np.linalg.norm(mapping, "fro")),
+                               grad_map_norm=linalg.fro(mapping),
                                proj_active=proj_active))
         if t < T:
             L = Lp

@@ -182,7 +182,7 @@ def _solve_inner_warm(game, L, prev, cfg_inner):
     if cfg_inner.method == inner_loop.RICCATI:
         if prev is not None:
             try:
-                res = inner_loop.solve_inner_riccati(game, L, P0=prev.P)
+                res = inner_loop.solve_inner_riccati(game, L, P0=prev.P, _trusted=True)
                 if res.final_grad_norm <= cfg_inner.tol:
                     return res
             except (ConvergenceError, DefinitenessError, UnstableError):

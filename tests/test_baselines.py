@@ -93,6 +93,32 @@ def test_ag_matches_nested_when_inner_runs_to_tolerance(g1):
         assert np.linalg.norm(ra.L - rn.L, "fro") <= 1e-8
 
 
+def test_ag_evaluates_each_pair_once(g1, monkeypatch):
+    # an inner loop that meets inner_tol early leaves its last evaluation to
+    # the outer step, so no two evaluations in a row are at the same pair,
+    # and every row holds the floats of a fresh evaluation at its pair
+    calls = []
+    evaluate = lq.policy.evaluate
+
+    def counted(game, pair):
+        calls.append((pair.K.copy(), pair.L.copy()))
+        return evaluate(game, pair)
+
+    cfg = lq.BaselineConfig(family=lq.AG, flavor=lq.GAUSS_NEWTON, eta=0.05, inner_iters=50,
+                            inner_tol=1e-8, tol=1e-6, max_outer=30)
+    start = stabilizing_start(g1)
+    monkeypatch.setattr(lq.policy, "evaluate", counted)
+    _, trace = lq.run_ag(g1, start, cfg)
+    monkeypatch.undo()
+    assert len(calls) > len(trace.rows) > 10
+    for (K_a, L_a), (K_b, L_b) in zip(calls, calls[1:]):
+        assert not (np.array_equal(K_a, K_b) and np.array_equal(L_a, L_b))
+    for row in trace.rows:
+        ev = lq.evaluate(g1, lq.PolicyPair(row.K, row.L))
+        assert (row.cost, row.grad_norm, row.grad_k_norm, row.rho) == (
+            ev.cost, lq.linalg.fro(ev.gradL), lq.linalg.fro(ev.gradK), ev.rho)
+
+
 def test_gauss_newton_flavor_requires_definite_block():
     g = lq.LqGame(A=0.5 * np.eye(3), B=[[1.0], [0.0], [0.0]], C=[[0.0], [1.0], [0.0]],
                   Q=3.0 * np.eye(3), Ru=[[1.0]], Rv=[[1.2]], Sigma0=np.eye(3))

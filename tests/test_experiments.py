@@ -98,6 +98,24 @@ def test_config_rejects_bad_modelfree_arguments(tmp_path, capsys):
     assert args["inner_steps"] == 10 and args["inner_flavor"] == lq.NATURAL_PG
 
 
+def test_config_rejects_spec_gains_of_the_wrong_shape(tmp_path, capsys, monkeypatch):
+    # gains are checked against the game's shapes right after it loads:
+    # exit 2 before the oracle is solved or the output directory is made
+    monkeypatch.setattr(experiments.game_mod, "solve_gare", None)
+    for spec, key in (({"solver": "nested", "L0": [[1, 2]]}, "L0"),
+                      ({"solver": "ag", "K0": [[1, 2, 3], [4, 5, 6]]}, "K0"),
+                      ({"solver": "gda", "L0": "zero"}, "L0"),
+                      ({"solver": "modelfree-inner", "L": [[0, 0, 0, 0]]}, "L"),
+                      ({"solver": "modelfree-outer", "L0": [[0], [0], [0]]}, "L0")):
+        cfg = _write_config(tmp_path / "cfg.json", {"game": "case1",
+                                                    "solvers": [NESTED_GN, spec]})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"solver '{experiments.solver_name(spec)}': {key}: must be a" in err
+        assert not out.exists()
+
+
 def test_run_experiment_lets_foreign_errors_propagate(tmp_path, monkeypatch):
     # only the package's own errors are recorded as solver failures; a bare
     # numpy error is a defect and must fail loudly

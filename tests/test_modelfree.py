@@ -95,6 +95,29 @@ def test_destabilizing_perturbation_reports_sample_index(g1, k1_at_zero):
     with pytest.raises(lq.SampleError) as exc:
         eng.estimate_inner(k1_at_zero, np.zeros((1, 3)), 64, 10, 1.0)
     assert exc.value.index == 0
+    assert eng._stream == 2  # both of the estimate's streams stay taken
+
+
+def test_initial_states_do_not_depend_on_how_they_are_drawn(monkeypatch):
+    # a correlated Sigma0, whose Cholesky factor mixes the normal draws; rows
+    # drawn all at once, in uneven pieces, and by the rollout's chunk walk,
+    # with one pair cut into several chunks, are bit-equal
+    S = np.array([[0.05, 0.01, -0.004], [0.01, 0.03, 0.002], [-0.004, 0.002, 0.02]])
+    game = lq.LqGame(A=0.5 * np.eye(3), B=np.ones((3, 1)), C=np.ones((3, 1)), Q=np.eye(3),
+                     Ru=np.eye(1), Rv=np.eye(1), Sigma0=S)
+    whole = mf.RolloutEngine(game, 6).draw_x0(1068)
+    eng = mf.RolloutEngine(game, 6)
+    gen = eng._generator(0)
+    pieces = [eng._x0(gen.standard_normal((n, 3))) for n in (1, 2, 3, 5, 7, 50, 1000)]
+    assert np.array_equal(np.concatenate(pieces), whole)
+    assert np.allclose(np.cov(whole.T), S, rtol=0.2, atol=0.005)
+    monkeypatch.setattr(mf, "ROLLOUT_SLICE_ENTRIES", 9 * 400)  # chunks of 400 trajectories
+    states = mf._StreamedStates(eng, [0, 5], 1068)
+    walked = np.empty(states.shape)
+    for p, t in mf._chunks(2, 1068, 3):
+        walked[p, t] = states[p, t]
+    second = mf.RolloutEngine(game, 6)._generator(5).standard_normal((1068, 3))
+    assert np.array_equal(walked, np.stack([whole, eng._x0(second)]))
 
 
 # -- the stability screen ----------------------------------------------------
@@ -239,9 +262,11 @@ def test_estimates_do_not_depend_on_the_chunk_size(g1, k1_at_zero, monkeypatch):
 
 
 def test_estimate_inner_memory_stays_within_its_chunks(g1, k1_at_zero):
-    # beyond its draws, its perturbed gains and its costs, an estimate holds
-    # a chunk's work arrays at a time; a screen over the whole (m, d, d) stack
-    # of closed loops peaked at 5x the draws
+    # beyond its perturbations U (1.2 MB here) and its costs, an estimate
+    # holds a chunk's work arrays at a time: the peak, 2.7 MB, is the sphere
+    # draw's U, its squares and their norms. Whole initial states and
+    # perturbed gains K + U peaked at 4.8 MB, a screen over the whole
+    # (m, d, d) stack of closed loops at 5x the draws
     m, L = 50_000, np.zeros((1, 3))
     eng = mf.RolloutEngine(g1, 0)
     tracemalloc.start()
@@ -250,8 +275,7 @@ def test_estimate_inner_memory_stays_within_its_chunks(g1, k1_at_zero):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    draws = 8 * m * (g1.m1 * g1.d + g1.d)  # U (m, m1, d) and x0 (m, d)
-    assert peak <= 3 * draws
+    assert peak < 3 * 2 ** 20
 
 
 def test_estimate_inner_screens_larger_games_by_eigvals(monkeypatch):
