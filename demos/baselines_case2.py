@@ -30,14 +30,14 @@ def main():
     print(f"nested GaussNewton : {trace.rows[-1].t} iterations, "
           f"gains error {gains_error(pair, nash):.2e}, monotone {trace.monotone_cost()}")
 
-    ag = lq.BaselineConfig(family=lq.AG, flavor=lq.NATURAL_PG, eta=0.05,
+    ag = lq.BaselineConfig(flavor=lq.NATURAL_PG, eta=0.05,
                            inner_iters=5, tol=1e-7)
     pair, trace = lq.run_ag(game, pi0, ag)
     print(f"AG NaturalPG       : {trace.rows[-1].t} iterations, "
           f"gains error {gains_error(pair, nash):.2e}, monotone {trace.monotone_cost()}")
 
     for eta in (0.2, 0.5):
-        gda = lq.BaselineConfig(family=lq.GDA, flavor=lq.GAUSS_NEWTON, eta=eta, tol=1e-7)
+        gda = lq.BaselineConfig(flavor=lq.GAUSS_NEWTON, eta=eta, tol=1e-7)
         pair, trace = lq.run_gda(game, pi0, gda)
         print(f"GDA GaussNewton {eta}: {trace.rows[-1].t} iterations, "
               f"gains error {gains_error(pair, nash):.2e}, monotone {trace.monotone_cost()}")

@@ -11,7 +11,7 @@ nested-gradient policy optimization, with model-free (rollout-sampled)
 variants and alternating-gradient / descent-ascent baselines.
 """
 
-from .baselines import AG, GDA, BaselineConfig, run_ag, run_gda
+from .baselines import BaselineConfig, run_ag, run_gda
 from .errors import (ConfigError, ConvergenceError, DefinitenessError,
                      DimensionError, InputError, LqGamesError, NotSymmetricError,
                      SampleError, UnstableError)
@@ -19,8 +19,7 @@ from .game import (AssumptionReport, LqGame, NashSolution, case1, case2,
                    check_assumptions, solve_gare)
 from .inner_loop import (GAUSS_NEWTON, NATURAL_PG, PG, RICCATI, InnerConfig,
                          InnerResult, solve_inner, solve_inner_riccati)
-from .modelfree import (EstimatorConfig, GradEstimate, RolloutEngine,
-                        estimate_grad_sigma, inner_ng_modelfree,
+from .modelfree import (EstimatorConfig, GradEstimate, RolloutEngine, inner_ng_modelfree,
                         outer_ng_modelfree)
 from .outer_loop import (GAUSS_NEWTON_NG, NATURAL_NG, NG, PROJECTION_OFF,
                          PROJECTION_WHITENED_SV_CLIP, OmegaSet,
@@ -32,14 +31,14 @@ from .trace import OuterTrace, TraceRow, fit_log_slope
 __version__ = "0.1.0"
 
 __all__ = [
-    "AG", "GDA", "BaselineConfig", "run_ag", "run_gda",
+    "BaselineConfig", "run_ag", "run_gda",
     "ConfigError", "ConvergenceError", "DefinitenessError", "DimensionError",
     "InputError", "LqGamesError", "NotSymmetricError", "SampleError", "UnstableError",
     "AssumptionReport", "LqGame", "NashSolution", "case1", "case2",
     "check_assumptions", "solve_gare",
     "GAUSS_NEWTON", "NATURAL_PG", "PG", "RICCATI", "InnerConfig",
     "InnerResult", "solve_inner", "solve_inner_riccati",
-    "EstimatorConfig", "GradEstimate", "RolloutEngine", "estimate_grad_sigma",
+    "EstimatorConfig", "GradEstimate", "RolloutEngine",
     "inner_ng_modelfree", "outer_ng_modelfree",
     "GAUSS_NEWTON_NG", "NATURAL_NG", "NG", "OmegaSet", "OuterConfig",
     "PROJECTION_OFF", "PROJECTION_WHITENED_SV_CLIP",

@@ -20,22 +20,18 @@ from .errors import (DefinitenessError, UnstableError, _check_choice, _check_cou
                      _check_positive)
 from .trace import OuterTrace, trace_row
 
-AG = "AG"
-GDA = "GDA"
-FAMILIES = (AG, GDA)
-
 FLAVORS = (inner_loop.PG, inner_loop.NATURAL_PG, inner_loop.GAUSS_NEWTON)
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """eta is the L-ascent stepsize. inner_alpha is the K stepsize: None means
+    """Settings of either baseline; run_ag or run_gda picks the family.
+    eta is the L-ascent stepsize. inner_alpha is the K stepsize: None means
     the flavor default for AG (PG 1e-3, NaturalPG adaptive, GaussNewton 1/2)
     and eta itself for GDA, whose listing uses one stepsize for both players.
     inner_tol > 0 lets AG leave the inner loop early once ||gradK|| drops
     below it (used to recover the fully nested method)."""
 
-    family: str = GDA
     flavor: str = inner_loop.GAUSS_NEWTON
     eta: float = 0.05
     inner_iters: int = 5
@@ -45,7 +41,6 @@ class BaselineConfig:
     inner_tol: float = 0.0
 
     def __post_init__(self):
-        _check_choice("BaselineConfig.family", self.family, FAMILIES)
         _check_choice("BaselineConfig.flavor", self.flavor, FLAVORS)
         _check_positive("BaselineConfig.eta", self.eta)
         _check_count("BaselineConfig.inner_iters", self.inner_iters)
@@ -81,12 +76,11 @@ def _evaluate_at(game, K, L, where):
 
 def run_ag(game, pi0, cfg):
     """Alternating gradient from a stabilizing pair."""
-    _check_choice("run_ag.cfg.family", cfg.family, (AG,))
     pi0.check_dims(game)
     icfg = inner_loop.InnerConfig(method=cfg.flavor, alpha=cfg.inner_alpha)
     K = np.array(pi0.K, dtype=float)
     L = np.array(pi0.L, dtype=float)
-    trace = OuterTrace(meta={"family": AG, "flavor": cfg.flavor,
+    trace = OuterTrace(meta={"family": "AG", "flavor": cfg.flavor,
                              "mu": float(linalg.min_eigenvalue_sym(game.Sigma0))})
     for t in range(cfg.max_outer + 1):
         for j in range(cfg.inner_iters):
@@ -110,13 +104,12 @@ def run_ag(game, pi0, cfg):
 
 def run_gda(game, pi0, cfg):
     """Simultaneous descent-ascent: both updates use the same evaluation."""
-    _check_choice("run_gda.cfg.family", cfg.family, (GDA,))
     pi0.check_dims(game)
     alpha = cfg.inner_alpha if cfg.inner_alpha is not None else cfg.eta
     icfg = inner_loop.InnerConfig(method=cfg.flavor, alpha=alpha)
     K = np.array(pi0.K, dtype=float)
     L = np.array(pi0.L, dtype=float)
-    trace = OuterTrace(meta={"family": GDA, "flavor": cfg.flavor,
+    trace = OuterTrace(meta={"family": "GDA", "flavor": cfg.flavor,
                              "mu": float(linalg.min_eigenvalue_sym(game.Sigma0))})
     for t in range(cfg.max_outer + 1):
         ev = _evaluate_at(game, K, L, f"step {t}")

@@ -32,7 +32,7 @@ def _field_names(cls):
     return {f.name for f in dataclasses.fields(cls)}
 
 
-_BASELINE_KEYS = _field_names(baselines.BaselineConfig) - {"family"} | {"K0", "L0"}
+_BASELINE_KEYS = _field_names(baselines.BaselineConfig) | {"K0", "L0"}
 # The model-free runners' own arguments, their defaults, and the runner's check.
 _MODELFREE_ARGS = {
     "modelfree-inner": ({"steps": 20, "alpha": 0.05, "flavor": inner_loop.NATURAL_PG,
@@ -170,8 +170,7 @@ def _solver_config(spec, seed):
         base = outer_loop.OuterConfig()
         return _config(base, spec, inner=_config(base.inner, spec.get("inner", {})))
     if kind in ("ag", "gda"):
-        return _config(baselines.BaselineConfig(), spec,
-                       family=baselines.AG if kind == "ag" else baselines.GDA)
+        return _config(baselines.BaselineConfig(), spec)
     _check_choice(f"{kind}.projection", spec.get("projection", outer_loop.PROJECTION_OFF),
                   outer_loop.PROJECTIONS)
     return _config(modelfree.EstimatorConfig(seed=seed), spec), _modelfree_args(spec)
@@ -229,11 +228,11 @@ def _run_nested(game, gains, cfg, omega):
     return trace
 
 
-def _run_baseline(game, gains, cfg):
+def _run_baseline(game, gains, cfg, kind):
     K0, L0 = gains["K0"], gains["L0"]
     if K0 is None:  # a stabilizing start: the best response to L0 (A may be unstable)
         K0 = inner_loop.solve_inner_riccati(game, L0).K
-    run = baselines.run_ag if cfg.family == baselines.AG else baselines.run_gda
+    run = baselines.run_ag if kind == "ag" else baselines.run_gda
     _, trace = run(game, PolicyPair(K=K0, L=L0), cfg)
     return trace
 
@@ -275,7 +274,7 @@ def run_solver(game, spec, gains, omega, seed):
     if kind == "nested":
         return _run_nested(game, gains, cfg, omega)
     if kind in ("ag", "gda"):
-        return _run_baseline(game, gains, cfg)
+        return _run_baseline(game, gains, cfg, kind)
     if kind == "modelfree-inner":
         return _run_modelfree_inner(game, gains, *cfg)
     return _run_modelfree_outer(game, spec, gains, omega, *cfg)

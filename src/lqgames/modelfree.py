@@ -9,22 +9,24 @@ correlation estimate reuses the same rollouts. Rollout sums run over R terms
 starting at the initial state, matching the infinite-horizon quantities they
 truncate.
 
-One rollout kernel serves every estimate. It takes a stack of gain pairs
-(K_p, L_p), each with k trajectories and one perturbed minimizer gain per
-trajectory, under u = K x, x' = (A - C L) x - B u and the stage cost
-x'(Q - L'Rv L)x + u'Ru u, and returns each trajectory's R-step cost and each
-pair's state correlation sum. Trajectory i's states are A_i^t x0_i for its
-closed loop A_i = A - C L - B K_i, so both sums follow from
+One walk over the trajectories serves every estimate. It takes a stack of
+gain pairs (K_p, L_p), each with k trajectories and one perturbed minimizer
+gain per trajectory, under u = K x, x' = (A - C L) x - B u and the stage cost
+x'(Q - L'Rv L)x + u'Ru u, in chunks of at most ROLLOUT_SLICE_ENTRIES // d^2
+trajectories to bound memory. Each chunk forms its perturbed gains K + U
+and their trajectory-last copy once, screens its closed loops, draws its
+initial states and is rolled out into each trajectory's R-step cost and
+each pair's state correlation sum. Trajectory i's states are A_i^t x0_i for
+its closed loop A_i = A - C L - B K_i, so both sums follow from
 M_i = sum_{t<R} A_i^t x0_i x0_i' A_i^t', which binary doubling builds in
 O(log R) products of d x d matrices; the cost is <W_i, M_i> for the stage
 weight W_i = Q - L'Rv L + K_i'Ru K_i. The products are einsums over
-(d, d, trajectories) stacks, taken in slices of at most
-ROLLOUT_SLICE_ENTRIES // d^2 trajectories to bound memory. Doubling costs
-O(d^3 log R) per trajectory and stepping O(d^2 R), so for rollouts short
-for their dimension, R < ROLLOUT_DOUBLING_R_PER_D2 * d^2, the kernel steps R
-times instead. estimate_inner is the one-pair case; the lock-step inner
-solves and the outer estimate's own rollouts (one trajectory per pair) are
-the others. Budgets (m, R, r and the step counts), stepsizes and gains are
+(d, d, trajectories) stacks. Doubling costs O(d^3 log R) per trajectory and
+stepping O(d^2 R), so for rollouts short for their dimension,
+R < ROLLOUT_DOUBLING_R_PER_D2 * d^2, the chunk is stepped R times instead.
+estimate_inner is the one-pair case; the lock-step inner solves and the
+outer estimate's own rollouts (one unperturbed trajectory per pair) are the
+others. Budgets (m, R, r and the step counts), stepsizes and gains are
 checked once, where they enter: EstimatorConfig, estimate_inner,
 estimate_outer, inner_ng_modelfree and outer_ng_modelfree raise ConfigError
 for bad budgets, stepsizes and flavors, naming the field, and check gains
@@ -37,7 +39,7 @@ and per-trajectory values are row slices of one vectorized draw. An initial
 state is x0 = chol(Sigma0) z for a standard normal row z, each entry summed
 over the lower triangular factor's row in order, one elementwise product at
 a time, so a row's floats do not depend on how many rows are drawn with it;
-the rollouts draw each estimate's initial states chunk by chunk from its
+the walk draws each estimate's initial states chunk by chunk from its
 stream.
 
 The outer estimate runs in lock-step. Its stream order is that of the
@@ -52,22 +54,19 @@ so neither the schedule nor the block size changes a result. A failure
 raises the error that the sequential schedule would raise first.
 
 Every perturbed gain must keep its closed loop strictly inside the stability
-margin (rho < 1 - linalg.STABILITY_MARGIN). The screen walks the perturbed
-gains in the rollout's chunks. Up to SCREEN_MAX_DIM states each chunk's
-closed loops are built trajectory-last, as the rollout builds them, and
-their verdicts come from a Schur-Cohn test on each loop's characteristic
-polynomial, scaled by 1 - STABILITY_MARGIN, so the margin is the one linalg
-applies; larger games are screened by batched eigvals on the chunk. The
-screen keeps only its verdicts and the few loops whose radius eigvals must
-decide. The perturbed gains K + U are formed one chunk at a time, by the
-screen and by the rollouts, which also draw the initial states chunk by
-chunk, so an estimate's memory beyond its perturbations U and its costs is
-bounded by one chunk. Eigenvalues are computed only where a radius is
-reported: the first failing sample's in the SampleError message,
-estimate_inner's rho_max (eigvals on a strided probe first, then on the few
-loops the per-chunk Schur-Cohn test cannot place below the probe's
-maximum), and estimate_outer's screen of its at most m inner responses,
-whose largest radius goes into the trace.
+margin (rho < 1 - linalg.STABILITY_MARGIN). Up to SCREEN_MAX_DIM states a
+chunk's verdicts come from a Schur-Cohn test on the characteristic
+polynomials of the closed loops that the doubling kernel then reads, scaled
+by 1 - STABILITY_MARGIN, so the margin is the one linalg applies; larger
+games are screened by batched eigvals on the chunk. At the first
+destabilizing gain the walk rolls out only the pairs before it and stops,
+so an estimate's memory beyond its perturbations U and its costs is bounded
+by one chunk. Eigenvalues are computed only where a radius is reported: the
+first failing sample's in the SampleError message, estimate_inner's rho_max
+(eigvals on a strided probe first, then on the few loops the per-chunk
+Schur-Cohn test cannot place below the probe's maximum), and
+estimate_outer's screen of its at most m inner responses, whose largest
+radius goes into the trace.
 
 An inner step whose update, or K'Ru K, is not finite raises a
 ConvergenceError naming the step. A SampleError or ConvergenceError raised
@@ -107,11 +106,11 @@ RHO_PROBE_STRIDE = 64
 # d = 4, 75 at d = 5, 120 at d = 6, 250 at d = 8, 330 at d = 10 and 1300 at
 # d = 20.
 ROLLOUT_DOUBLING_R_PER_D2 = 3
-# Both rollout kernels and the stability screen work on chunks of at most
+# The walk screens and rolls out chunks of at most
 # max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories (1820 at d = 3), so each
-# of their work arrays holds about this many entries (doubling keeps six,
-# the screen a few); at d = 3 chunks of 1024 to 8192 trajectories took about
-# the same time.
+# of its work arrays holds about this many entries (doubling keeps six, the
+# screen a few); at d = 3 chunks of 1024 to 8192 trajectories took about the
+# same time.
 ROLLOUT_SLICE_ENTRIES = 16_384
 # Products of (d, d, n) stacks, the stack index last: A B and A B'.
 _PRODUCT = "ijn,jln->iln"
@@ -153,49 +152,13 @@ def _sphere(gen, m, rows, cols, radius):
     return w.reshape(m, rows, cols)
 
 
-class _PerturbedGains:
-    """The gains K_p + U[p, i] of P pairs of k trajectories, for base gains K
-    (P, m1, d) and perturbations U (P, k, m1, d), formed only where read:
-    [p, t], for slices p of pairs and t of trajectories, returns that block
-    of the (P, k, m1, d) stack, with the floats of K[:, None] + U."""
-
-    def __init__(self, K, U):
-        self.K, self.U = K, U
-        self.shape = U.shape
-
-    def __getitem__(self, block):
-        p, t = block
-        return self.K[p, None] + self.U[p, t]
-
-
-class _StreamedStates:
-    """The initial states of P pairs of k trajectories, pair i's drawn from
-    stream streams[i] of the engine as the rollout walks its chunks:
-    [p, t] draws rows t of the pairs p, (pairs, trajectories, d). Read the
-    chunks in the order _chunks yields them, and key no other stream until
-    the walk ends: a pair cut into several chunks draws its later rows from
-    the stream that its first chunk keyed. Each pair's rows are those of
-    draw_x0(k) on its stream, however the walk cuts them."""
-
-    def __init__(self, engine, streams, k):
-        self.engine, self.streams = engine, streams
-        self.shape = (len(streams), k, engine.game.d)
-
-    def __getitem__(self, block):
-        p, t = block
-        eng = self.engine
-        n, d = len(range(self.shape[1])[t]), self.shape[2]
-        return eng._x0(np.stack([(eng._generator(s) if t.start == 0 else eng._gen)
-                                 .standard_normal((n, d)) for s in self.streams[p]]))
-
-
 def _eig_radii(Acl):
     """Spectral radii of a stack of closed loops Acl (..., d, d), from batched eigvals."""
     return np.abs(np.linalg.eigvals(Acl)).max(axis=-1)
 
 
 def _chunks(P, k, d):
-    """The chunks in which rollouts and the screen walk a (P, k) stack of
+    """The chunks in which RolloutEngine._walk walks a (P, k) stack of
     trajectories, as (pairs, trajectories) slices of at most
     max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories: whole pairs when a
     pair has fewer, else one fixed-offset slice of one pair's trajectories,
@@ -317,6 +280,29 @@ def _doubled_sums(A, X, M, T, AT, R):
         A, T = T, A
 
 
+def _stepped_sums(F, W, Kp, x, R, S):
+    """A chunk's (pairs, k) costs by stepping R times, its correlation sums
+    added into S (pairs, d + m1, d + m1), for its gains Kp (pairs, k, m1, d)
+    and initial states x (pairs, k, d). The state and the control share one
+    (pairs, d + m1, k) array z = [x; u], so that x' = F z for
+    F = [A - C L, -B], the stage cost z' W z for W = diag(Q - L'Rv L, Ru) and
+    the correlation sum z z' each take one batched product."""
+    pairs, k, d = x.shape
+    K = np.ascontiguousarray(np.moveaxis(Kp, 1, -1))  # (pairs, m1, d, k)
+    z = np.empty((pairs, F.shape[2], k))
+    z_next = np.empty_like(z)
+    z[:, :d] = np.swapaxes(x, 1, 2)
+    cost = np.zeros((pairs, k))
+    for step in range(R):
+        np.einsum("paik,pik->pak", K, z[:, :d], out=z[:, d:])
+        cost += np.einsum("pik,pik->pk", z, W @ z)
+        S += z @ np.swapaxes(z, 1, 2)
+        if step + 1 < R:
+            np.matmul(F, z, out=z_next[:, :d])
+            z, z_next = z_next, z
+    return cost
+
+
 def _check_inner_method(owner, flavor, alpha, prefix=""):
     """Raise ConfigError unless the fields prefix + flavor and prefix + alpha
     name a model-free inner flavor and a stepsize."""
@@ -402,160 +388,160 @@ class RolloutEngine:
         g = self.game
         return (g.A - g.C @ L)[:, None] - g.B @ K
 
-    def _screen(self, Kp, L, rho_hat=None):
-        """Stability verdicts for the closed loops A - C L_p - B Kp[p, i] of
-        the perturbed gains Kp (P, k, m1, d), an array or _PerturbedGains,
-        against L (P, m2, d), walked in the rollout's chunks, so no array
-        spans more than one chunk's loops.
+    def _states(self, streams, first, n):
+        """n initial states of each pair, (pairs, n, d), pair i's from stream
+        streams[i]: its first n rows when first, else the next n rows of the
+        stream keyed last, so a pair walked in several chunks gets the rows
+        of draw_x0(k) on its stream."""
+        return self._x0(np.stack([(self._generator(s) if first else self._gen)
+                                  .standard_normal((n, self.game.d)) for s in streams]))
 
-        Returns the (P, k) mask of rho < 1 - STABILITY_MARGIN and, given
-        rho_hat, the (P, k) mask of loops whose radius the screen cannot
-        place below rho_hat (1 - 1e-12), else None. Up to SCREEN_MAX_DIM the
-        loops are built as the rollout builds them and both masks come from
-        the Schur-Cohn test on their characteristic polynomials; above it
-        from batched eigvals on loops built as _closed_loops builds them.
+    def _verdicts(self, Kp, Acl, L, rho_hat=None):
+        """Stability of a chunk's closed loops A - C L_p - B Kp[p, i], for its
+        gains Kp (pairs, n, m1, d), its loops Acl (d, d, pairs, >= n) as
+        _chunk_loops builds them, and L (pairs, m2, d).
+
+        Returns the (pairs, n) mask of rho < 1 - STABILITY_MARGIN and, given
+        rho_hat, the (pairs, n) mask of loops whose radius the test cannot
+        place below rho_hat (1 - 1e-12), else None. Up to SCREEN_MAX_DIM
+        both come from the Schur-Cohn test on the loops' characteristic
+        polynomials, above it from batched eigvals on loops built as
+        _closed_loops builds them.
         """
-        g = self.game
-        P, k = Kp.shape[:2]
+        n = Kp.shape[1]
         s = 1.0 - linalg.STABILITY_MARGIN
-        stable = np.empty((P, k), dtype=bool)
-        near = None if rho_hat is None else np.empty((P, k), dtype=bool)
-        F = _loop_offsets(g, L)
-        for p, t in _chunks(P, k, g.d):
-            if g.d <= SCREEN_MAX_DIM:
-                coef = _char_poly(_chunk_loops(g, F[:, :, p], _trajectory_last(Kp[p, t])))
-                stable[p, t] = _inside(coef, s)
-                if near is not None:
-                    near[p, t] = ~_inside(coef, rho_hat * (1.0 - 1e-12))
-            else:
-                rho = _eig_radii(self._closed_loops(Kp[p, t], L[p]))
-                stable[p, t] = rho < s
-                if near is not None:
-                    near[p, t] = rho > rho_hat
-        return stable, near
+        if self.game.d > SCREEN_MAX_DIM:
+            rho = _eig_radii(self._closed_loops(Kp, L))
+            return rho < s, None if rho_hat is None else rho > rho_hat
+        coef = _char_poly(Acl)
+        near = None if rho_hat is None else ~_inside(coef, rho_hat * (1.0 - 1e-12))[:, :n]
+        return _inside(coef, s)[:, :n], near
 
-    def _first_unstable(self, Kp, L, stable, radius):
-        """The first pair with a closed loop that is not stable and the
-        SampleError naming its first such perturbed gain, or None; the
-        reported radius comes from eigvals."""
-        failed = np.flatnonzero(~stable.all(axis=1))
-        if not failed.size:
-            return None
-        p = int(failed[0])
-        i = int(np.flatnonzero(~stable[p])[0])
-        rho = _eig_radii(self._closed_loops(Kp[p:p + 1, i:i + 1], L[p:p + 1]))[0, 0]
-        return p, SampleError(
-            f"perturbed gain {i} of {stable.shape[1]} is destabilizing "
-            f"(rho = {rho:.6f}); shrink the smoothing radius r "
-            f"(currently {radius:g}) or move to a better-conditioned pair",
-            index=i)
+    def _walk(self, K, L, U, x0, R, rho_hat=None):
+        """Screen and roll out P gain pairs of k trajectories each, chunk by
+        chunk of _chunks; every estimate walks its trajectories here.
 
-    def _rollout(self, K, L, x0, R):
-        """Batched R-step rollouts of P gain pairs with k trajectories each.
+        Trajectory i of pair p runs the minimizer gain K[p] + U[p, i] against
+        L[p], for K (P, m1, d), L (P, m2, d) and perturbations U
+        (P, k, m1, d); with U None it runs K[p] itself, unscreened (k = 1).
+        x0 holds the (P, k, d) initial states, or the P streams that pair p's
+        are drawn from, as draw_x0(k) would draw them. Each chunk forms its
+        gains and their trajectory-last copy once, and its closed loops
+        where the Schur-Cohn screen or the doubling kernel reads them; it
+        is screened (_verdicts), draws its initial states and is rolled out,
+        by doubling (_doubled_sums) from R >= ROLLOUT_DOUBLING_R_PER_D2 * d^2
+        on, else by stepping (_stepped_sums). Every pair is computed alone,
+        so its results do not depend on the stack.
 
-        K is (P, k, m1, d), one minimizer gain per trajectory, an array or
-        _PerturbedGains; L is (P, m2, d); x0 is (P, k, d), an array or
-        _StreamedStates; R >= 1. Both kernels read K and x0 one chunk of
-        _chunks at a time, in order. Returns the (P, k) cost sums and
-        the (P, d, d) state correlation sums over each pair's trajectories
-        and steps. Every pair is computed alone, so a result does not depend
-        on what else is in the stack. The sums are built by doubling from
-        R >= ROLLOUT_DOUBLING_R_PER_D2 * d^2 on, and by stepping below it.
-        """
-        if R >= ROLLOUT_DOUBLING_R_PER_D2 * self.game.d ** 2:
-            return self._rollout_doubling(K, L, x0, R)
-        return self._rollout_steps(K, L, x0, R)
-
-    def _rollout_doubling(self, K, L, x0, R):
-        """_rollout by doubling: trajectory i's correlation sum M_i comes
-        from _doubled_sums on its closed loop, and its cost is <W_i, M_i>.
-
-        Arrays keep the trajectory index last, (d, d, pairs, trajectories),
-        so that every product is one einsum over the stack. The work runs in
-        the chunks of _chunks, so a pair's sums do not depend on the stack.
-        """
-        g = self.game
-        d = g.d
-        P, k = x0.shape[:2]
-        F = _loop_offsets(g, L)
-        Wbar = np.moveaxis(g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L, 0, -1)[..., None]
-        cost, S = np.empty((P, k)), np.zeros((d, d, P))
-        work = np.empty((6, d * d * max(2, min(P * k, ROLLOUT_SLICE_ENTRIES // d ** 2))))
-        for p, t in _chunks(P, k, d):
-            Kt = _trajectory_last(K[p, t])
-            x = np.ascontiguousarray(np.moveaxis(x0[p, t], 2, 0))
-            kept = x.shape[2]
-            if x.shape[1] * kept == 1:
-                # einsum sums over a lone (d, d, 1) stack in another
-                # order; a copy of the trajectory keeps the usual one
-                Kt, x = np.concatenate((Kt, Kt), -1), np.concatenate((x, x), -1)
-            shape = (d, d) + x.shape[1:]
-            n = shape[2] * shape[3]
-            Acl, W, X, M, T, AT = (w[:d * d * n].reshape(shape) for w in work)
-            _chunk_loops(g, F[:, :, p], Kt, out=Acl)
-            np.einsum("aipk,ajpk->ijpk", Kt, np.einsum("ab,bjpk->ajpk", g.Ru, Kt), out=W)
-            W += Wbar[:, :, p]
-            np.multiply(x[:, None], x[None], out=X)
-            _doubled_sums(*(a.reshape(d, d, n) for a in (Acl, X, M, T, AT)), R)
-            cost[p, t] = np.einsum("ijpk,ijpk->pk", W, M)[:, :kept]
-            S[:, :, p] += M[..., :kept].sum(axis=-1)
-        return cost, np.moveaxis(S, -1, 0)
-
-    def _rollout_steps(self, K, L, x0, R):
-        """_rollout by stepping R times, chunk by chunk.
-
-        The state and the control share one (pairs, d + m1, trajectories)
-        array z = [x; u], so that x' = [A - C L, -B] z, the stage cost
-        z' diag(Q - L'Rv L, Ru) z and the correlation sum z z' each take one
-        batched product.
+        Returns the (P, k) costs, the (P, d, d) correlation sums over each
+        pair's trajectories and steps, the largest radius of a single pair's
+        loops given its probe radius rho_hat (estimate_inner's rho_max; else
+        None) and None, or the first destabilizing gain as
+        (pair, index, rho): the walk then rolls out only the pairs before
+        it, and the results of the rest are meaningless.
         """
         g = self.game
         d, m1 = g.d, g.m1
-        P, k = x0.shape[:2]
-        F = np.concatenate([g.A - g.C @ L, np.broadcast_to(-g.B, (P, d, m1))], axis=2)
-        W = np.zeros((P, d + m1, d + m1))
-        W[:, :d, :d] = g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L
-        W[:, d:, d:] = g.Ru
-        cost = np.empty((P, k))
-        S = np.zeros((P, d + m1, d + m1))
-        for p, t in _chunks(P, k, d):
-            Kt = np.ascontiguousarray(np.moveaxis(K[p, t], 1, -1))  # (pairs, m1, d, k)
-            x = x0[p, t]
-            z = np.empty((x.shape[0], d + m1, x.shape[1]))
-            z_next = np.empty_like(z)
-            z[:, :d] = np.swapaxes(x, 1, 2)
-            c = np.zeros(x.shape[:2])
-            Fp, Wp, Sp = F[p], W[p], S[p]  # Sp is a view: its sums land in S
-            for step in range(R):
-                np.einsum("paik,pik->pak", Kt, z[:, :d], out=z[:, d:])
-                c += np.einsum("pik,pik->pk", z, Wp @ z)
-                Sp += z @ np.swapaxes(z, 1, 2)
-                if step + 1 < R:
-                    np.matmul(Fp, z, out=z_next[:, :d])
-                    z, z_next = z_next, z
-            cost[p, t] = c
-        return cost, S[:, :d, :d]
+        P, k = (len(K), 1) if U is None else U.shape[:2]
+        doubling = R >= ROLLOUT_DOUBLING_R_PER_D2 * d ** 2
+        F = _loop_offsets(g, L)
+        Wbar = g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L
+        if doubling:
+            Wbar = np.moveaxis(Wbar, 0, -1)[..., None]
+            S = np.zeros((d, d, P))
+        else:
+            Fz = np.concatenate([g.A - g.C @ L, np.broadcast_to(-g.B, (P, d, m1))], axis=2)
+            Wz = np.zeros((P, d + m1, d + m1))
+            Wz[:, :d, :d] = Wbar
+            Wz[:, d:, d:] = g.Ru
+            S = np.zeros((P, d + m1, d + m1))
+        # the doubling kernel's six work arrays, the first for the loops
+        loops = doubling or (U is not None and d <= SCREEN_MAX_DIM)
+        work = np.empty((6 if doubling else 1,
+                         d * d * max(2, min(P * k, ROLLOUT_SLICE_ENTRIES // d ** 2))))
 
-    def _estimates(self, Kp, L, x0, R, r):
-        """One-point (gradK, Sigma) estimates at P stable pairs at once: the
-        perturbed gains Kp = _PerturbedGains(K, U), L (P, m2, d), and the
-        initial states x0 (P, k, d) of _rollout. Returns grad (P, m1, d),
-        Sigma (P, d, d) and the (P, k) costs."""
+        def form(p, Kp):  # the chunk's gains trajectory-last, its loops in work[0]
+            Kt = _trajectory_last(Kp)
+            if doubling and Kt.shape[2] * Kt.shape[3] == 1:
+                # einsum sums over a lone (d, d, 1) stack in another
+                # order; a copy of the trajectory keeps the usual one
+                Kt = np.concatenate((Kt, Kt), -1)
+            shape = (d, d) + Kt.shape[2:]
+            arrays = [w[:d * d * Kt.shape[2] * Kt.shape[3]].reshape(shape) for w in work]
+            if loops:
+                _chunk_loops(g, F[:, :, p], Kt, out=arrays[0])
+            return Kt, arrays
+
+        cost = np.empty((P, k))
+        near_gains, failure = [], None
+        for p, t in _chunks(P, k, d):
+            Kp = K[p, None] if U is None else K[p, None] + U[p, t]
+            n = Kp.shape[1]
+            Kt, arrays = form(p, Kp)
+            if U is not None:
+                stable, near = self._verdicts(Kp, arrays[0], L[p], rho_hat)
+                if near is not None:
+                    near_gains.append(Kp[near])
+                if not stable.all():
+                    i = int(np.flatnonzero(~stable.all(axis=1))[0])
+                    j = int(np.flatnonzero(~stable[i])[0])
+                    rho = _eig_radii(self._closed_loops(Kp[i:i + 1, j:j + 1], L[p][i:i + 1]))
+                    failure = (p.start + i, t.start + j, rho[0, 0])
+                    if i == 0:
+                        break
+                    p, Kp = slice(p.start, p.start + i), Kp[:i]
+                    Kt, arrays = form(p, Kp)
+            x = self._states(x0[p], t.start == 0, n) if np.ndim(x0) == 1 else x0[p, t]
+            if doubling:
+                Acl, W, X, M, T, AT = arrays
+                np.einsum("aipk,ajpk->ijpk", Kt, np.einsum("ab,bjpk->ajpk", g.Ru, Kt), out=W)
+                W += Wbar[:, :, p]
+                x = np.ascontiguousarray(np.moveaxis(x, 2, 0))
+                if Kt.shape[3] > n:
+                    x = np.concatenate((x, x), -1)
+                np.multiply(x[:, None], x[None], out=X)
+                _doubled_sums(*(a.reshape(d, d, -1) for a in (Acl, X, M, T, AT)), R)
+                cost[p, t] = np.einsum("ijpk,ijpk->pk", W, M)[:, :n]
+                S[:, :, p] += M[..., :n].sum(axis=-1)
+            else:
+                cost[p, t] = _stepped_sums(Fz[p], Wz[p], Kp, x, R, S[p])
+            if failure is not None:
+                break
+        if doubling:
+            S = np.moveaxis(S, -1, 0)
+        rho_max = rho_hat
+        if near_gains and sum(map(len, near_gains)):
+            near = np.concatenate(near_gains)[None]
+            rho_max = max(rho_hat, float(_eig_radii(self._closed_loops(near, L)).max()))
+        return cost, S[:, :d, :d], rho_max, failure
+
+    def _estimate(self, K, L, U, streams, R, r, rho_hat=None):
+        """One-point (gradK, Sigma) estimates at the P pairs (K[p], L[p]) from
+        the perturbations U (P, k, m1, d), pair p's initial states drawn from
+        stream streams[p] (see _walk). Returns grad (n, m1, d), Sigma
+        (n, d, d) and the (n, k) costs of the n pairs before the first with
+        a destabilizing gain (n = P without one), rho_max as _walk returns
+        it, and None or that gain's SampleError."""
         g = self.game
-        k = Kp.shape[1]
-        cost, S = self._rollout(Kp, L, x0, R)
-        dim = g.m1 * g.d
-        grad = (dim / (k * r * r)) * np.einsum("pk,pkij->pij", cost, Kp.U)
-        Sigma = S / k
-        return grad, 0.5 * (Sigma + np.swapaxes(Sigma, 1, 2)), cost
+        k = U.shape[1]
+        cost, S, rho_max, failure = self._walk(K, L, U, streams, R, rho_hat)
+        n, error = len(K), None
+        if failure is not None:
+            n, i, rho = failure
+            error = SampleError(f"perturbed gain {i} of {k} is destabilizing (rho = {rho:.6f}); "
+                                f"shrink the smoothing radius r (currently {r:g}) or move to a "
+                                "better-conditioned pair", index=i)
+        grad = (g.m1 * g.d / (k * r * r)) * np.einsum("pk,pkij->pij", cost[:n], U[:n])
+        Sigma = S[:n] / k
+        return grad, 0.5 * (Sigma + np.swapaxes(Sigma, 1, 2)), cost[:n], rho_max, error
 
     def estimate_inner(self, K, L, m, R, r):
         """Zeroth-order (gradK, Sigma) estimate at (K, L) by perturbing K.
 
         The perturbations U come from the next stream and the initial states
-        from the one after it, drawn chunk by chunk during the rollout; both
-        streams are taken before the screen, so a SampleError leaves the
-        engine where a finished estimate would."""
+        from the one after it, drawn chunk by chunk during the walk; both
+        streams are taken first, so a SampleError leaves the engine where a
+        finished estimate would."""
         _check_count("RolloutEngine.estimate_inner.m", m)
         _check_count("RolloutEngine.estimate_inner.R", R)
         _check_positive("RolloutEngine.estimate_inner.r", r)
@@ -565,23 +551,16 @@ class RolloutEngine:
         stream = self._stream
         self._stream += 2
         U = _sphere(self._generator(stream), m, g.m1, g.d, r)[None]
-        Kp = _PerturbedGains(K, U)
         # rho_max: eigvals on a strided probe gives rho_hat, the screen places
         # most loops below it chunk by chunk, and eigvals decides the few it
         # cannot. That is exact unless a loop's eigvals and characteristic
         # polynomial disagree by more than 1e-12 relative, which takes
         # eigenvalues near a defective (Jordan) one.
-        rho_hat = float(_eig_radii(self._closed_loops(Kp[:, ::RHO_PROBE_STRIDE], L)).max())
-        stable, near = self._screen(Kp, L, rho_hat)
-        failure = self._first_unstable(Kp, L, stable, r)
-        if failure is not None:
-            raise failure[1]
-        rho_max = rho_hat
-        if near.any():
-            rho_max = max(rho_max, float(_eig_radii(self._closed_loops((K + U[near])[None],
-                                                                       L)).max()))
-        x0 = _StreamedStates(self, [stream + 1], m)
-        grad, Sigma, cost = self._estimates(Kp, L, x0, R, r)
+        rho_hat = float(_eig_radii(self._closed_loops(K[:, None] + U[:, ::RHO_PROBE_STRIDE],
+                                                      L)).max())
+        grad, Sigma, cost, rho_max, error = self._estimate(K, L, U, [stream + 1], R, r, rho_hat)
+        if error is not None:
+            raise error
         return GradEstimate(grad=grad[0], Sigma=Sigma[0],
                             cost_mean=float(cost.mean()), cost_std=float(cost.std()),
                             m=m, rho_max=rho_max)
@@ -637,7 +616,7 @@ class RolloutEngine:
                 index=i)
         if error is not None:
             raise error[1]
-        costs, S = self._rollout(Ks[:, None], Ls, x0[:, None], R)
+        costs, S, _, _ = self._walk(Ks, Ls, None, x0[:, None], R)
         costs = costs[:, 0]
         dim = g.m2 * g.d
         grad = (dim / (m * r * r)) * np.einsum("m,mij->ij", costs, V)
@@ -664,16 +643,13 @@ class RolloutEngine:
         for j in range(steps):
             U = np.stack([_sphere(self._generator(s + 2 * j), k, g.m1, g.d, r)
                           for s in streams[:n]])
-            Kp = _PerturbedGains(K[:n], U)
-            failure = self._first_unstable(Kp, Ls[:n], self._screen(Kp, Ls[:n])[0], r)
+            grad, Sigma, _, _, failure = self._estimate(K[:n], Ls[:n], U, streams[:n] + 2 * j + 1,
+                                                        R, r)
             if failure is not None:
-                n = failure[0]
-                error = (n, _at_inner_step(j, failure[1]))
+                n = len(grad)
+                error = (n, _at_inner_step(j, failure))
                 if n == 0:
                     break
-                Kp = _PerturbedGains(K[:n], U[:n])
-            x0 = _StreamedStates(self, streams[:n] + 2 * j + 1, k)
-            grad, Sigma, _ = self._estimates(Kp, Ls[:n], x0, R, r)
             K[:n], ok = _inner_update(g, K[:n], grad, Sigma, alpha, flavor)
             diverged = np.flatnonzero(~ok)
             if diverged.size:
@@ -682,12 +658,6 @@ class RolloutEngine:
                 if n == 0:
                     break
         return K, error
-
-
-def estimate_grad_sigma(game, K, L, cfg):
-    """One-shot (gradK_hat, Sigma_hat) at (K, L) under cfg's budget and seed."""
-    est = RolloutEngine(game, cfg.seed).estimate_inner(K, L, cfg.m, cfg.R, cfg.r)
-    return est.grad, est.Sigma
 
 
 def inner_ng_modelfree(game, L, K0, cfg, steps, alpha, flavor=inner_loop.NATURAL_PG,

@@ -58,10 +58,10 @@ def accepted_runs(g1, g2, nash1, nash2):
                           inner=lq.InnerConfig(method=lq.RICCATI, tol=1e-9))
     runs["case2", "nested"] = (*lq.solve_nested(g2, L0, cfg2), g2, nash2)
     pi0 = stabilizing_start(g2)
-    ag = lq.BaselineConfig(family=lq.AG, flavor=lq.NATURAL_PG, eta=0.05,
+    ag = lq.BaselineConfig(flavor=lq.NATURAL_PG, eta=0.05,
                            inner_iters=5, tol=1e-7, max_outer=10_000)
     runs["case2", "ag"] = (*lq.run_ag(g2, pi0, ag), g2, nash2)
-    gda = lq.BaselineConfig(family=lq.GDA, flavor=lq.GAUSS_NEWTON, eta=0.2,
+    gda = lq.BaselineConfig(flavor=lq.GAUSS_NEWTON, eta=0.2,
                             tol=1e-7, max_outer=10_000)
     runs["case2", "gda"] = (*lq.run_gda(g2, pi0, gda), g2, nash2)
     return runs
@@ -251,9 +251,10 @@ def test_criterion_10_sampled_estimates_match_model_reproducibly(g1, k1_at_zero)
         ev = lq.evaluate(g1, lq.PolicyPair(K, L))
         R = rollout_length_for(ev.rho, 1e-10)
         cfg = lq.EstimatorConfig(m=200_000, R=R, r=0.01, seed=11)
-        g_a, S_a = lq.estimate_grad_sigma(g1, K, L, cfg)
-        g_b, S_b = lq.estimate_grad_sigma(g1, K, L, cfg)
-        assert np.array_equal(g_a, g_b) and np.array_equal(S_a, S_b)
+        a = lq.RolloutEngine(g1, cfg.seed).estimate_inner(K, L, cfg.m, cfg.R, cfg.r)
+        b = lq.RolloutEngine(g1, cfg.seed).estimate_inner(K, L, cfg.m, cfg.R, cfg.r)
+        g_a, S_a = a.grad, a.Sigma
+        assert np.array_equal(g_a, b.grad) and np.array_equal(S_a, b.Sigma)
         assert (np.linalg.norm(g_a - ev.gradK, "fro")
                 / np.linalg.norm(ev.gradK, "fro")) <= 0.05
         assert (np.linalg.norm(S_a - ev.Sigma, "fro")
@@ -317,7 +318,7 @@ def test_criterion_11_sampled_loops_reduce_to_analytic_loops(g1, k1_at_zero):
             assert np.array_equal(rm.L, rn.L)
 
         # AG with the inner loop run to tolerance is the nested method
-        ag = lq.BaselineConfig(family=lq.AG, flavor=lq.NATURAL_PG, eta=0.05,
+        ag = lq.BaselineConfig(flavor=lq.NATURAL_PG, eta=0.05,
                                inner_iters=100_000, inner_tol=1e-12,
                                tol=1e-6, max_outer=40)
         _, tr_ag = lq.run_ag(g1, stabilizing_start(g1), ag)

@@ -11,7 +11,7 @@ from conftest import stabilizing_start
 
 
 def test_ag_fixed_point_at_equilibrium(g1, nash1):
-    cfg = lq.BaselineConfig(family=lq.AG, flavor=lq.NATURAL_PG, eta=0.05,
+    cfg = lq.BaselineConfig(flavor=lq.NATURAL_PG, eta=0.05,
                             inner_iters=5, tol=1e-6)
     pair, trace = lq.run_ag(g1, lq.PolicyPair(nash1.Kstar, nash1.Lstar), cfg)
     assert trace.converged and len(trace.rows) == 1
@@ -19,7 +19,7 @@ def test_ag_fixed_point_at_equilibrium(g1, nash1):
 
 
 def test_gda_fixed_point_at_equilibrium(g1, nash1):
-    cfg = lq.BaselineConfig(family=lq.GDA, flavor=lq.GAUSS_NEWTON, eta=0.2, tol=1e-6)
+    cfg = lq.BaselineConfig(flavor=lq.GAUSS_NEWTON, eta=0.2, tol=1e-6)
     pair, trace = lq.run_gda(g1, lq.PolicyPair(nash1.Kstar, nash1.Lstar), cfg)
     assert trace.converged and len(trace.rows) == 1
     assert np.linalg.norm(pair.K - nash1.Kstar, "fro") <= 1e-12
@@ -31,7 +31,7 @@ def test_gda_single_step_is_simultaneous_gradient(g1):
     L0 = np.array([[0.02, 0.01, -0.03]])
     ev = lq.evaluate(g1, lq.PolicyPair(K0, L0))
     eta = 0.03
-    cfg = lq.BaselineConfig(family=lq.GDA, flavor=lq.PG, eta=eta,
+    cfg = lq.BaselineConfig(flavor=lq.PG, eta=eta,
                             inner_alpha=eta, tol=1e-12, max_outer=1)
     pair, trace = lq.run_gda(g1, lq.PolicyPair(K0, L0), cfg)
     assert np.array_equal(pair.K, K0 - eta * ev.gradK)
@@ -40,7 +40,7 @@ def test_gda_single_step_is_simultaneous_gradient(g1):
 
 def test_gda_records_both_gradient_norms(g1):
     pi0 = stabilizing_start(g1)
-    cfg = lq.BaselineConfig(family=lq.GDA, flavor=lq.GAUSS_NEWTON, eta=0.2,
+    cfg = lq.BaselineConfig(flavor=lq.GAUSS_NEWTON, eta=0.2,
                             tol=1e-6, max_outer=2000)
     pair, trace = lq.run_gda(g1, pi0, cfg)
     assert trace.converged
@@ -50,15 +50,14 @@ def test_gda_records_both_gradient_norms(g1):
 
 
 @pytest.mark.parametrize("family,flavor,eta,kw", [
-    (lq.AG, lq.NATURAL_PG, 0.05, dict(inner_iters=5)),
-    (lq.AG, lq.GAUSS_NEWTON, 0.1, dict(inner_iters=3)),
-    (lq.GDA, lq.GAUSS_NEWTON, 0.2, {}),
-    (lq.GDA, lq.NATURAL_PG, 0.1, {}),
+    ("AG", lq.NATURAL_PG, 0.05, dict(inner_iters=5)),
+    ("AG", lq.GAUSS_NEWTON, 0.1, dict(inner_iters=3)),
+    ("GDA", lq.GAUSS_NEWTON, 0.2, {}),
+    ("GDA", lq.NATURAL_PG, 0.1, {}),
 ])
 def test_baselines_reach_equilibrium_case1(g1, nash1, family, flavor, eta, kw):
-    cfg = lq.BaselineConfig(family=family, flavor=flavor, eta=eta,
-                            tol=1e-7, max_outer=5000, **kw)
-    run = lq.run_ag if family == lq.AG else lq.run_gda
+    cfg = lq.BaselineConfig(flavor=flavor, eta=eta, tol=1e-7, max_outer=5000, **kw)
+    run = lq.run_ag if family == "AG" else lq.run_gda
     pair, trace = run(g1, stabilizing_start(g1), cfg)
     assert trace.converged
     assert np.linalg.norm(pair.K - nash1.Kstar, "fro") <= 1e-3
@@ -67,7 +66,7 @@ def test_baselines_reach_equilibrium_case1(g1, nash1, family, flavor, eta, kw):
 
 
 def test_gda_case2_converges_non_monotone(g2, nash2):
-    cfg = lq.BaselineConfig(family=lq.GDA, flavor=lq.GAUSS_NEWTON, eta=0.5,
+    cfg = lq.BaselineConfig(flavor=lq.GAUSS_NEWTON, eta=0.5,
                             tol=1e-6, max_outer=5000)
     pair, trace = lq.run_gda(g2, stabilizing_start(g2), cfg)
     assert trace.converged
@@ -80,7 +79,7 @@ def test_ag_matches_nested_when_inner_runs_to_tolerance(g1):
     # with the inner loop run to tolerance each outer step, the alternating
     # method is the nested method: L-iterates agree along the whole path
     eta = 0.05
-    cfg_ag = lq.BaselineConfig(family=lq.AG, flavor=lq.NATURAL_PG, eta=eta,
+    cfg_ag = lq.BaselineConfig(flavor=lq.NATURAL_PG, eta=eta,
                                inner_iters=100_000, inner_tol=1e-12,
                                tol=1e-6, max_outer=40)
     pair_ag, tr_ag = lq.run_ag(g1, stabilizing_start(g1), cfg_ag)
@@ -104,7 +103,7 @@ def test_ag_evaluates_each_pair_once(g1, monkeypatch):
         calls.append((pair.K.copy(), pair.L.copy()))
         return evaluate(game, pair)
 
-    cfg = lq.BaselineConfig(family=lq.AG, flavor=lq.GAUSS_NEWTON, eta=0.05, inner_iters=50,
+    cfg = lq.BaselineConfig(flavor=lq.GAUSS_NEWTON, eta=0.05, inner_iters=50,
                             inner_tol=1e-8, tol=1e-6, max_outer=30)
     start = stabilizing_start(g1)
     monkeypatch.setattr(lq.policy, "evaluate", counted)
@@ -123,16 +122,16 @@ def test_gauss_newton_flavor_requires_definite_block():
     g = lq.LqGame(A=0.5 * np.eye(3), B=[[1.0], [0.0], [0.0]], C=[[0.0], [1.0], [0.0]],
                   Q=3.0 * np.eye(3), Ru=[[1.0]], Rv=[[1.2]], Sigma0=np.eye(3))
     pi0 = lq.PolicyPair(np.zeros((1, 3)), np.zeros((1, 3)))
-    cfg = lq.BaselineConfig(family=lq.GDA, flavor=lq.GAUSS_NEWTON, eta=0.1, tol=1e-6)
+    cfg = lq.BaselineConfig(flavor=lq.GAUSS_NEWTON, eta=0.1, tol=1e-6)
     with pytest.raises(lq.DefinitenessError):
         lq.run_gda(g, pi0, cfg)
 
 
-@pytest.mark.parametrize("family", [lq.AG, lq.GDA])
+@pytest.mark.parametrize("family", ["AG", "GDA"])
 def test_diverging_l_update_is_a_typed_error(g1, family):
     # eta = 1e300 takes L0 = 0 to about 1e298, where L^T Rv L overflows
-    cfg = lq.BaselineConfig(family=family, flavor=lq.NATURAL_PG, eta=1e300)
-    run = lq.run_ag if family == lq.AG else lq.run_gda
+    cfg = lq.BaselineConfig(flavor=lq.NATURAL_PG, eta=1e300)
+    run = lq.run_ag if family == "AG" else lq.run_gda
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow RuntimeWarning on the way
         with pytest.raises(lq.ConvergenceError, match="outer step 0 diverged") as exc:
@@ -143,8 +142,6 @@ def test_diverging_l_update_is_a_typed_error(g1, family):
 
 def test_baseline_config_validation():
     with pytest.raises(ValueError):
-        lq.BaselineConfig(family="AGX")
-    with pytest.raises(ValueError):
         lq.BaselineConfig(flavor="Riccati")
     with pytest.raises(ValueError):
         lq.BaselineConfig(eta=0.0)
@@ -153,6 +150,6 @@ def test_baseline_config_validation():
 
 
 def test_unstable_start_is_rejected_with_location(g1):
-    cfg = lq.BaselineConfig(family=lq.GDA, flavor=lq.PG, eta=0.01, tol=1e-6)
+    cfg = lq.BaselineConfig(flavor=lq.PG, eta=0.01, tol=1e-6)
     with pytest.raises(lq.UnstableError):
         lq.run_gda(g1, lq.PolicyPair(np.zeros((1, 3)), np.zeros((1, 3))), cfg)

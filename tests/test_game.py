@@ -216,7 +216,7 @@ def test_bad_input_values_raise_a_typed_value_error(g1, case):
 def test_unchecked_pair_constructor_stays_private():
     # PolicyPair._trusted skips the boundary checks, for the package's own gains
     assert not any("trusted" in name for name in lq.__all__ + dir(lq))
-    assert len(lq.__all__) == 54  # 53 names, then InputError
+    assert len(lq.__all__) == 51  # 54 less AG, GDA and estimate_grad_sigma
 
 
 def test_open_loop_case1_is_unstable(g1):

@@ -1,5 +1,6 @@
 """Zeroth-order estimation and the sampled-data solvers."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -73,21 +74,21 @@ def test_estimator_matches_model_at_frozen_pair(g1):
     assert rel_grad <= 0.05
     assert rel_sig <= 0.01
 
-    # the convenience wrapper consumes streams in the same fixed order
-    grad2, Sigma2 = lq.estimate_grad_sigma(g1, K, L, cfg)
-    assert np.array_equal(grad2, est.grad)
-    assert np.array_equal(Sigma2, est.Sigma)
+    # a new engine on the seed consumes streams in the same fixed order
+    again = lq.RolloutEngine(g1, cfg.seed).estimate_inner(K, L, cfg.m, cfg.R, cfg.r)
+    assert np.array_equal(again.grad, est.grad)
+    assert np.array_equal(again.Sigma, est.Sigma)
 
 
 def test_estimates_are_bit_reproducible(g1, k1_at_zero):
     cfg = lq.EstimatorConfig(m=500, R=60, r=0.05, seed=9)
     L = np.zeros((1, 3))
-    g_a, S_a = lq.estimate_grad_sigma(g1, k1_at_zero, L, cfg)
-    g_b, S_b = lq.estimate_grad_sigma(g1, k1_at_zero, L, cfg)
-    assert np.array_equal(g_a, g_b) and np.array_equal(S_a, S_b)
-    g_c, _ = lq.estimate_grad_sigma(g1, k1_at_zero, L,
-                                    lq.EstimatorConfig(m=500, R=60, r=0.05, seed=10))
-    assert not np.array_equal(g_a, g_c)
+    a = lq.RolloutEngine(g1, cfg.seed).estimate_inner(k1_at_zero, L, cfg.m, cfg.R, cfg.r)
+    b = lq.RolloutEngine(g1, cfg.seed).estimate_inner(k1_at_zero, L, cfg.m, cfg.R, cfg.r)
+    assert np.array_equal(a.grad, b.grad) and np.array_equal(a.Sigma, b.Sigma)
+    cfg = lq.EstimatorConfig(m=500, R=60, r=0.05, seed=10)
+    c = lq.RolloutEngine(g1, cfg.seed).estimate_inner(k1_at_zero, L, cfg.m, cfg.R, cfg.r)
+    assert not np.array_equal(a.grad, c.grad)
 
 
 def test_destabilizing_perturbation_reports_sample_index(g1, k1_at_zero):
@@ -112,10 +113,9 @@ def test_initial_states_do_not_depend_on_how_they_are_drawn(monkeypatch):
     assert np.array_equal(np.concatenate(pieces), whole)
     assert np.allclose(np.cov(whole.T), S, rtol=0.2, atol=0.005)
     monkeypatch.setattr(mf, "ROLLOUT_SLICE_ENTRIES", 9 * 400)  # chunks of 400 trajectories
-    states = mf._StreamedStates(eng, [0, 5], 1068)
-    walked = np.empty(states.shape)
+    walked = np.empty((2, 1068, 3))
     for p, t in mf._chunks(2, 1068, 3):
-        walked[p, t] = states[p, t]
+        walked[p, t] = eng._states([0, 5][p], t.start == 0, len(range(1068)[t]))
     second = mf.RolloutEngine(game, 6)._generator(5).standard_normal((1068, 3))
     assert np.array_equal(walked, np.stack([whole, eng._x0(second)]))
 
@@ -165,7 +165,8 @@ def test_schur_cohn_screen_matches_eigvals_at_the_margin(d, monkeypatch):
     assert np.array_equal(want, rhos < EDGE)  # eigvals resolves every draw
     eng = mf.RolloutEngine(_identity_loops_game(d), 0)
     monkeypatch.setattr(mf, "_eig_radii", None)  # the Schur-Cohn branch alone
-    stable, near = eng._screen(Acl[None], np.zeros((1, 1, d)))
+    # the game's closed loops are its gains, so both are laid out trajectory-last alike
+    stable, near = eng._verdicts(Acl[None], mf._trajectory_last(Acl[None]), np.zeros((1, 1, d)))
     assert near is None
     assert np.array_equal(stable[0], want)
 
@@ -177,7 +178,9 @@ def test_schur_cohn_screen_matches_eigvals_on_sampled_gains(g1, k1_at_zero, r):
     L = np.full((1, 1, 3), 0.1)
     Acl = eng._closed_loops((k1_at_zero + U)[None], L)[0]
     want = mf._eig_radii(Acl) < EDGE
-    assert np.array_equal(eng._screen((k1_at_zero + U)[None], L)[0][0], want)
+    Kp = (k1_at_zero + U)[None]
+    loops = mf._chunk_loops(g1, mf._loop_offsets(g1, L), mf._trajectory_last(Kp))
+    assert np.array_equal(eng._verdicts(Kp, loops, L)[0][0], want)
     if r == 0.8:
         assert 100 <= np.count_nonzero(~want) < want.size
 
@@ -663,8 +666,23 @@ def _small_game(d, m1, seed):
                      Q=np.eye(d), Ru=np.eye(m1), Rv=5.0 * np.eye(1), Sigma0=np.eye(d))
 
 
+# ROLLOUT_DOUBLING_R_PER_D2 values that force the doubling and the stepping kernel
+DOUBLING, STEPPING = 0, np.inf
+
+
+def _rollout(eng, K, L, x0, R, monkeypatch, per_d2=mf.ROLLOUT_DOUBLING_R_PER_D2):
+    """The walk's (P, k) costs and (P, d, d) correlation sums for the
+    per-trajectory gains K (P, k, m1, d), taken as perturbations of zero
+    gains, with the kernel switch at per_d2."""
+    with monkeypatch.context() as mp:
+        mp.setattr(mf, "ROLLOUT_DOUBLING_R_PER_D2", per_d2)
+        cost, S, _, failure = eng._walk(np.zeros((len(K),) + K.shape[2:]), L, K, x0, R)
+    assert failure is None
+    return cost, S
+
+
 @pytest.mark.parametrize("R", [1, 2, 7, 64, 100, 291])
-def test_rollout_kernels_match_a_stepping_reference(g1, k1_at_zero, R):
+def test_rollout_kernels_match_a_stepping_reference(g1, k1_at_zero, R, monkeypatch):
     # one stack cut into fixed-offset slices of each pair's trajectories (k
     # above the slice size, not a multiple of it), one cut into whole pairs
     size = _slice_size(g1)
@@ -672,13 +690,13 @@ def test_rollout_kernels_match_a_stepping_reference(g1, k1_at_zero, R):
     for P, k in ((3, size + size // 2 + 3), (2 * size // 5 + 3, 5)):
         K, L, x0 = _rollout_inputs(g1, k1_at_zero, P, k, [R, P])
         want_cost, want_S = _stepped_rollout(g1, K, L, x0, R)
-        for kernel in (eng._rollout_doubling, eng._rollout_steps):
-            cost, S = kernel(K, L, x0, R)
+        for kernel in (DOUBLING, STEPPING):
+            cost, S = _rollout(eng, K, L, x0, R, monkeypatch, kernel)
             assert _rel(cost, want_cost) <= 1e-12
             assert _rel(S, want_S) <= 1e-12
 
 
-def test_rollout_pairs_are_bit_equal_alone_and_stacked():
+def test_rollout_pairs_are_bit_equal_alone_and_stacked(monkeypatch):
     game = _small_game(3, 2, 0)
     K = lq.solve_inner_riccati(game, np.zeros((1, 3))).K
     eng = mf.RolloutEngine(game, 0)
@@ -686,24 +704,26 @@ def test_rollout_pairs_are_bit_equal_alone_and_stacked():
     # lone trajectories, a last slice of one trajectory, pairs cut into chunks
     for P, k in ((4, 1), (3, size + 1), (size // 7 + 3, 7)):
         K_, L, x0 = _rollout_inputs(game, K, P, k, [P, k])
-        for kernel in (eng._rollout_doubling, eng._rollout_steps):
-            cost, S = kernel(K_, L, x0, 64)
+        for kernel in (DOUBLING, STEPPING):
+            cost, S = _rollout(eng, K_, L, x0, 64, monkeypatch, kernel)
             for i in (0, 1, P - 1):
-                alone = kernel(K_[i:i + 1], L[i:i + 1], x0[i:i + 1], 64)
+                alone = _rollout(eng, K_[i:i + 1], L[i:i + 1], x0[i:i + 1], 64, monkeypatch,
+                                 kernel)
                 assert np.array_equal(alone[0][0], cost[i])
                 assert np.array_equal(alone[1][0], S[i])
 
 
-def test_rollout_switches_to_doubling_at_its_crossover():
+def test_rollout_switches_to_doubling_at_its_crossover(monkeypatch):
     game = _small_game(4, 1, 1)
     K = lq.solve_inner_riccati(game, np.zeros((1, 4))).K
     eng = mf.RolloutEngine(game, 0)
     K_, L, x0 = _rollout_inputs(game, K, 3, 50, 7)
     switch = mf.ROLLOUT_DOUBLING_R_PER_D2 * game.d ** 2
-    for R, kernel in ((switch - 1, eng._rollout_steps), (switch, eng._rollout_doubling)):
-        cost, S = eng._rollout(K_, L, x0, R)
-        assert np.array_equal(cost, kernel(K_, L, x0, R)[0])
-        steps, doubling = eng._rollout_steps(K_, L, x0, R), eng._rollout_doubling(K_, L, x0, R)
+    for R, kernel in ((switch - 1, STEPPING), (switch, DOUBLING)):
+        cost, S = _rollout(eng, K_, L, x0, R, monkeypatch)
+        assert np.array_equal(cost, _rollout(eng, K_, L, x0, R, monkeypatch, kernel)[0])
+        steps = _rollout(eng, K_, L, x0, R, monkeypatch, STEPPING)
+        doubling = _rollout(eng, K_, L, x0, R, monkeypatch, DOUBLING)
         assert _rel(doubling[0], steps[0]) <= 1e-12 and _rel(doubling[1], steps[1]) <= 1e-12
 
 
@@ -743,3 +763,67 @@ def test_estimator_budgets_are_checked_at_the_boundary(g1, k1_at_zero, case):
     with pytest.raises(lq.ConfigError):
         calls[case]()
     assert eng._stream == 0  # no stream was drawn or skipped
+
+
+# -- pinned seeded outputs -----------------------------------------------------
+
+def _random_game(d, m1, seed, Sigma0=None):
+    rng = np.random.default_rng([d, m1, seed])
+    A = rng.standard_normal((d, d))
+    A *= 1.02 / np.abs(np.linalg.eigvals(A)).max()
+    return lq.LqGame(A=A, B=rng.standard_normal((d, m1)), C=0.05 * rng.standard_normal((d, 1)),
+                     Q=np.eye(d), Ru=np.eye(m1), Rv=np.eye(1),
+                     Sigma0=np.eye(d) if Sigma0 is None else Sigma0)
+
+
+def _seeded_outputs(g1, k1):
+    """Estimates, failures and short solver runs over both rollout kernels,
+    both screens, pairs cut into chunks and a lock-step failure."""
+    out = []
+
+    def estimate(game, L, seed, m, R, r, K=None):
+        K = lq.solve_inner_riccati(game, L).K if K is None else K
+        eng = mf.RolloutEngine(game, seed)
+        try:
+            e = eng.estimate_inner(K, L, m, R, r)
+            out.extend([e.grad, e.Sigma, e.cost_mean, e.cost_std, e.rho_max, e.m])
+        except lq.SampleError as e:
+            out.extend([str(e), e.index])
+        out.append(eng._stream)
+
+    L1 = np.full((1, 3), 0.1)
+    estimate(g1, L1, 1, 4000, 100, 0.05, k1)  # doubling, one pair in three chunks
+    estimate(g1, L1, 2, 3000, 10, 0.1, k1)  # stepping, R < 3 d^2
+    estimate(lq.case2(), np.zeros((1, 3)), 3, 500, 40, 0.05)
+    S = np.array([[0.05, 0.01], [0.01, 0.03]])
+    estimate(_random_game(2, 2, 0, S), np.zeros((1, 2)), 4, 300, 5, 0.1)
+    g4 = _random_game(4, 1, 1)
+    estimate(g4, np.zeros((1, 4)), 5, 1500, 60, 0.2)  # eigvals screen, two chunks
+    estimate(g4, np.zeros((1, 4)), 5, 400, 10, 0.5)  # fails at sample 190
+    estimate(_random_game(6, 2, 2), np.zeros((1, 6)), 6, 600, 120, 0.05)
+    estimate(g1, np.zeros((1, 3)), 9, 8000, 10, 0.763, k1)  # fails in the third chunk
+    # outer step 1 fails at inner step 1 of sample 4, in lock-step
+    cfg = lq.EstimatorConfig(m=6, R=20, r=0.3, seed=20)
+    with pytest.raises(lq.SampleError) as exc:
+        lq.outer_ng_modelfree(g1, np.zeros((1, 3)), cfg, T=1, eta=1e-3, inner_steps=2,
+                              inner_alpha=1e-3, inner_flavor=lq.NATURAL_PG, K0=k1)
+    out.extend([str(exc.value), exc.value.index, exc.value.trace.to_csv()])
+    cfg = lq.EstimatorConfig(m=5, R=40, r=0.02, seed=7)
+    L, tr = lq.outer_ng_modelfree(g1, np.zeros((1, 3)), cfg, T=1, eta=1e-3, inner_steps=2,
+                                  inner_alpha=1e-3, inner_flavor=lq.PG, K0=k1)
+    out.extend([L, tr.to_csv()])
+    cfg = lq.EstimatorConfig(m=200, R=30, r=0.05, seed=8)
+    out.append(lq.inner_ng_modelfree(g1, np.zeros((1, 3)), k1, cfg, 3, 1e-3, flavor=lq.PG))
+    return out
+
+
+def test_seeded_outputs_match_their_pinned_hash(g1, k1_at_zero):
+    # every float of these runs, pinned: a change to the sampling, the screen
+    # or the rollout arithmetic shows here even when it is self-consistent
+    h = hashlib.sha256()
+    for v in _seeded_outputs(g1, k1_at_zero):
+        if isinstance(v, np.ndarray):
+            h.update(np.ascontiguousarray(v, dtype=float).tobytes())
+        else:
+            h.update((v if isinstance(v, str) else repr(v)).encode())
+    assert h.hexdigest() == "95681bcef5c15e2fee46702383227ca32c09c86c8c58144be608920c363fe38d"

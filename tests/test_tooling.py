@@ -87,3 +87,12 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(DEMOS / demo[0]), *demo[1:]], env=_env(),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_modelfree_walks_its_chunks_at_one_site():
+    # every estimate screens and rolls out its trajectories in one walk; a
+    # second walk would form the perturbed gains and their loops over again
+    tree = ast.parse((PACKAGE / "modelfree.py").read_text())
+    sites = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_chunks"]
+    assert len(sites) == 1, sites

@@ -52,7 +52,7 @@ TABLE = [
         "variant": ("GN", None), "eta": POSITIVE, "tol": POSITIVE, "max_iter": COUNT,
         "inner": ({"tol": 1e-9}, None), "projection": ("WhitenedSVClip", None)}),
     ("BaselineConfig", lq.BaselineConfig, {
-        "family": ("AGX", None), "flavor": (lq.RICCATI, None), "eta": POSITIVE,
+        "flavor": (lq.RICCATI, None), "eta": POSITIVE,
         "inner_iters": COUNT, "max_outer": COUNT, "tol": POSITIVE, "inner_alpha": POSITIVE,
         "inner_tol": NONNEGATIVE}),
     ("EstimatorConfig", lq.EstimatorConfig, {
@@ -108,8 +108,6 @@ def test_solver_entry_points_name_their_bad_arguments(g1, nash1):
         (lambda: lq.solve_nested(g1, [[5.0, 0.0, 0.0]],
                                  lq.OuterConfig(projection="WhitenedSvClip"), om),
          "solve_nested.L0"),
-        (lambda: lq.run_ag(g1, pi0, lq.BaselineConfig(family=lq.GDA)), "run_ag.cfg.family"),
-        (lambda: lq.run_gda(g1, pi0, lq.BaselineConfig(family=lq.AG)), "run_gda.cfg.family"),
         (lambda: experiments.run_experiment(experiments.ExperimentConfig(), seed=1.5),
          "run_experiment.seed"),
     ]
