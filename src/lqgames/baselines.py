@@ -63,7 +63,7 @@ def _l_direction(game, ev, flavor):
         raise DefinitenessError(
             "Rv - C^T P C is not positive definite; the Gauss-Newton "
             "L-ascent direction is undefined here")
-    return 2.0 * np.linalg.solve(H, ev.F)
+    return 2.0 * linalg.solve(H, ev.F)
 
 
 def _evaluate_at(game, K, L, where):

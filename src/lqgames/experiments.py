@@ -317,7 +317,7 @@ def run_experiment(cfg, out_dir=None, seed=None):
     omega = outer_loop.OmegaSet.for_game(gm, zeta=cfg.zeta, nash=nash)
     os.makedirs(out_dir, exist_ok=True)
 
-    nu = float(np.linalg.eigvalsh(outer_loop.w_matrix(gm, nash.Pstar))[0])
+    nu = float(linalg.eigvalsh(outer_loop.w_matrix(gm, nash.Pstar))[0])
 
     solvers = {}
     failing = []

@@ -176,20 +176,20 @@ def solve_gare(game, tol=GARE_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS):
     P, iterations = linalg.solve_dare(game.A, BC, game.Q, R, tol,
                                       max_steps=max_iter, inertia=(game.m1, game.m2))
     N = BC.T @ P @ game.A
-    try:
-        KL = np.linalg.solve(R + BC.T @ P @ BC, N)
-    except np.linalg.LinAlgError as e:
-        raise DefinitenessError("GARE solution: M(P*) is singular") from e
-    K, L = KL[:game.m1], KL[game.m1:]
-    Pn = game.Q + game.A.T @ P @ game.A - N.T @ KL
-    residual = float(np.linalg.norm(0.5 * (Pn + Pn.T) - P, "fro"))
-    bound = max(tol, 64.0 * np.finfo(float).eps * np.linalg.norm(game.A, "fro") ** 2
-                * np.linalg.norm(P, "fro"))
-    if residual > bound:
-        raise ConvergenceError(
-            f"GARE residual {residual:.3e} above {bound:.3e} after convergence test",
-            residual=residual, iterations=iterations)
-    linalg.require_stable(game.A - game.B @ K - game.C @ L, context="GARE solution")
+    with linalg.lapack_errors():
+        try:
+            KL = linalg.solve(R + BC.T @ P @ BC, N)
+        except DefinitenessError as e:
+            raise DefinitenessError("GARE solution: M(P*) is singular") from e
+        K, L = KL[:game.m1], KL[game.m1:]
+        Pn = game.Q + game.A.T @ P @ game.A - N.T @ KL
+        residual = linalg.fro(0.5 * (Pn + Pn.T) - P)
+        bound = max(tol, 64.0 * np.finfo(float).eps * linalg.fro(game.A) ** 2 * linalg.fro(P))
+        if residual > bound:
+            raise ConvergenceError(
+                f"GARE residual {residual:.3e} above {bound:.3e} after convergence test",
+                residual=residual, iterations=iterations)
+        linalg.require_stable(game.A - game.B @ K - game.C @ L, context="GARE solution")
     value = float(np.trace(P @ game.Sigma0))
     return NashSolution(Pstar=P, Kstar=K, Lstar=L, value=value,
                         iterations=iterations, residual=residual)

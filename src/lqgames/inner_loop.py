@@ -84,7 +84,7 @@ def pg_update(K, grad, alpha):
 
 def natural_pg_update(K, grad, Sigma, alpha):
     # right-multiplication by Sigma^{-1} via a symmetric solve
-    return K - alpha * np.linalg.solve(Sigma, grad.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return K - alpha * linalg.solve(Sigma, grad.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_MAX_STEPS,
@@ -122,7 +122,7 @@ def solve_inner_riccati(game, L, tol=RICCATI_DEFAULT_TOL, max_iter=linalg.DARE_M
                                           inertia=(game.m1, 0))
     except ConvergenceError as e:
         _raise_inner_domain(game, L, e.iterations, e.residual, str(e))
-    K = np.linalg.solve(Ru + B.T.dot(P).dot(B), B.T.dot(P).dot(At))
+    K = linalg.solve(Ru + B.T.dot(P).dot(B), B.T.dot(P).dot(At))
     # raises UnstableError if unstable
     ev = policy.evaluate(game, policy.PolicyPair._trusted(K, L))
     row = trace_row(game, 0, L, float(np.trace(P.dot(game.Sigma0))), ev.gradK, ev.rho, K=K,
@@ -151,10 +151,10 @@ def _step_from_eval(game, K, ev, cfg):
         return pg_update(K, ev.gradK, alpha)
     if cfg.method == NATURAL_PG:
         if alpha is None:
-            alpha = 1.0 / (2.0 * np.linalg.norm(game.Ru + game.B.T.dot(ev.P).dot(game.B), 2))
+            alpha = 1.0 / (2.0 * linalg.svdvals(game.Ru + game.B.T.dot(ev.P).dot(game.B))[0])
         return natural_pg_update(K, ev.gradK, ev.Sigma, alpha)
     G = game.Ru + game.B.T.dot(ev.P).dot(game.B)
-    return K - 2.0 * alpha * np.linalg.solve(G, ev.E)
+    return K - 2.0 * alpha * linalg.solve(G, ev.E)
 
 
 def solve_inner(game, L, K0, cfg):

@@ -10,10 +10,21 @@ as well as an LqGamesError). Everything else here trusts the arrays the package
 built (symmetric ones exactly symmetric): spectral_radius,
 min_eigenvalue_sym, require_stable, solve_dlyap_transpose, riccati_doubling,
 solve_dare (whose callers also pass R's inertia, known from LqGame's PD
-checks), svd, sym_sqrt_and_inv_sqrt and fro. Only solve_dlyap checks its
-own. The small-d paths multiply with ndarray.dot, not @: it calls the same
-BLAS routine, so the floats are the same, at about half the cost for 3 x 3
-operands.
+checks), svd, sym_sqrt_and_inv_sqrt and fro. The small-d paths multiply with
+ndarray.dot, not @: it calls the same BLAS routine, so the floats are the
+same, at about half the cost for 3 x 3 operands.
+
+LAPACK runs through numpy.linalg's gufuncs, looked up once at import and
+called directly (solve, inv, eigvals, eigvalsh, svdvals, cholesky, and the
+eigh and thin SVD of sym_sqrt_and_inv_sqrt and svd): their input was
+validated at the boundary, and numpy.linalg's per-call checks cost more than
+a 3 x 3 solve. Only spectral_radius rejects non-finite entries, which a
+loop's own gradient step can make. A failed kernel (a singular system, an
+iteration that did not converge) sets numpy's invalid FP flag. Inside
+lapack_errors(), entered once per call by riccati_doubling, solve_dare,
+solve_gare and evaluate, that raises DefinitenessError, which they relabel
+where the failure has a message of its own; elsewhere the kernel warns and
+returns NaN, which the next evaluate or finiteness test rejects.
 
 solve_dlyap_transpose is the one Lyapunov solver. Given a second weight it
 also solves the transposed equation, the pair of an evaluation, in one call:
@@ -31,6 +42,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (ConvergenceError, DefinitenessError, DimensionError, InputError,
                      NotSymmetricError, UnstableError)
@@ -52,6 +64,23 @@ DOUBLING_MAX_STEPS = 64
 DARE_MAX_STEPS = 100
 # A Newton step at most NEWTON_STOP ||X||_F is at roundoff (see solve_dare).
 NEWTON_STOP = np.sqrt(np.finfo(float).eps)
+
+solve = _umath_linalg.solve  # A X = B for a matrix B, or for stacks of both
+inv = _umath_linalg.inv
+eigvals = _umath_linalg.eigvals  # complex, also for real input
+eigvalsh = _umath_linalg.eigvalsh_lo  # ascending
+svdvals = _umath_linalg.svd  # descending, so svdvals(M)[0] is the 2-norm
+cholesky = _umath_linalg.cholesky_lo
+_eigh, _svd_thin = _umath_linalg.eigh_lo, _umath_linalg.svd_s
+
+
+def _lapack_failed(err, flag):
+    raise DefinitenessError("singular matrix, LAPACK iteration not converged, or inf - inf")
+
+
+def lapack_errors(**errstate):
+    """The FP-error context in which a failed kernel raises DefinitenessError."""
+    return np.errstate(call=_lapack_failed, invalid="call", **errstate)
 
 
 def as_matrix(M, rows=None, cols=None, name="matrix"):
@@ -99,22 +128,24 @@ def symmetrize(M, name="matrix"):
 
 def spectral_radius(M):
     """max |lambda_i(M)| over the complex spectrum of a square matrix."""
+    if not np.isfinite(M).all():
+        raise ConvergenceError("eigenvalue iteration failed: non-finite entries")
     try:
-        ev = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as e:
+        ev = eigvals(M)
+    except DefinitenessError as e:
         raise ConvergenceError(f"eigenvalue iteration failed: {e}") from e
     return float(np.abs(ev).max()) if ev.size else 0.0
 
 
 def min_eigenvalue_sym(M):
     """Smallest eigenvalue of an exactly symmetric matrix."""
-    return float(np.linalg.eigvalsh(M)[0])
+    return float(eigvalsh(M)[0])
 
 
 def require_stable(Acl, context="closed loop", iteration=None):
-    """Return rho(Acl), raising UnstableError when at or above the margin."""
+    """Return rho(Acl), raising UnstableError when at or above the margin (or NaN)."""
     rho = spectral_radius(Acl)
-    if rho >= 1.0 - STABILITY_MARGIN:
+    if not rho < 1.0 - STABILITY_MARGIN:
         raise UnstableError(
             f"{context}: spectral radius {rho:.12g} is not strictly below 1",
             rho=rho,
@@ -131,7 +162,7 @@ def _dlyap_transpose_direct(Acl, W, S=None):
     At = Acl.T
     lhs = _eye(n) - (At[:, None, :, None] * At[None, :, None, :]).reshape(n, n)
     if S is None:
-        X = np.linalg.solve(lhs, W.reshape(-1)).reshape(d, d)
+        X = solve(lhs, W.reshape(-1, 1)).reshape(d, d)
         return 0.5 * (X + X.T)
     # the Y system's matrix I - Acl kron Acl is the transpose of the X system's:
     # both go to one batched solve, which factors each as a lone solve would
@@ -142,7 +173,7 @@ def _dlyap_transpose_direct(Acl, W, S=None):
     rhs = np.empty((2, n, 1))
     rhs[0, :, 0] = W.reshape(-1)
     rhs[1, :, 0] = S.reshape(-1)
-    XY = np.linalg.solve(pair, rhs).reshape(2, d, d)
+    XY = solve(pair, rhs).reshape(2, d, d)
     XY = 0.5 * (XY + XY.transpose(0, 2, 1))
     return XY[0], XY[1]
 
@@ -177,7 +208,7 @@ def solve_dlyap_transpose(Acl, W, S=None):
     Given an exactly symmetric S as well, also solve Y = Acl Y Acl^T + S and
     return (X, Y): the pair policy.evaluate needs, in one call. Kronecker for
     d <= 8, Smith doubling above. The pair's Kronecker systems go to one
-    batched np.linalg.solve, which runs the same LAPACK factorization on each
+    batched solve, which runs the same LAPACK factorization on each
     as two single calls would, so X and Y are bit-identical to them. Smith
     doubling shares the powers Acl^(2^k) between X and Y, which moves Y in its
     last bits against a lone solve on Acl^T. Checks nothing, stability
@@ -186,13 +217,6 @@ def solve_dlyap_transpose(Acl, W, S=None):
     if Acl.shape[0] <= DLYAP_DIRECT_MAX_DIM:
         return _dlyap_transpose_direct(Acl, W, S)
     return _dlyap_transpose_doubling(Acl, W, S)
-
-
-def solve_dlyap(Acl, W):
-    """Solve X = Acl X Acl^T + W for stable Acl and symmetric W, both checked."""
-    Acl = as_matrix(Acl, name="Acl")
-    require_stable(Acl, context="solve_dlyap")
-    return solve_dlyap_transpose(Acl.T, symmetrize(W, name="W"))
 
 
 def riccati_doubling(A, G, H):
@@ -209,28 +233,32 @@ def riccati_doubling(A, G, H):
     non-finite iterate or the step cap raise ConvergenceError.
     """
     eye = _eye(A.shape[0])
-    for k in range(1, DOUBLING_MAX_STEPS + 1):
-        # an overflow, or the inf - inf it leads to, is caught just below
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow is caught by the finiteness test below, and so is the
+    # inf - inf it leads to, which lapack_errors raises as a singular W would
+    with lapack_errors(over="ignore"):
+        for k in range(1, DOUBLING_MAX_STEPS + 1):
             try:
-                Winv = np.linalg.inv(eye + G @ H)
-            except np.linalg.LinAlgError as e:
+                Winv = inv(eye + G @ H)
+            except DefinitenessError as e:
                 raise ConvergenceError(
                     f"riccati_doubling: I + G H is singular at doubling {k}",
                     iterations=k) from e
-            # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
-            WA, WG = Winv @ A, Winv @ G
-            G = G + A @ WG @ A.T
-            H = H + A.T @ H @ WA
-            A = A @ WA
-            G = 0.5 * (G + G.T)
-            H = 0.5 * (H + H.T)
-            tail = float((A * A).sum())
-        if not (np.isfinite(tail) and np.isfinite(H).all() and np.isfinite(G).all()):
-            raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",
-                                   residual=tail, iterations=k)
-        if tail <= DOUBLING_TOL:
-            return H, k
+            try:
+                # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
+                WA, WG = Winv @ A, Winv @ G
+                G = G + A @ WG @ A.T
+                H = H + A.T @ H @ WA
+                A = A @ WA
+                G = 0.5 * (G + G.T)
+                H = 0.5 * (H + H.T)
+                tail = float((A * A).sum())
+            except DefinitenessError:
+                tail = math.nan
+            if not (np.isfinite(tail) and np.isfinite(H).all() and np.isfinite(G).all()):
+                raise ConvergenceError(f"riccati_doubling: non-finite iterate at doubling {k}",
+                                       residual=tail, iterations=k)
+            if tail <= DOUBLING_TOL:
+                return H, k
     raise ConvergenceError(
         f"riccati_doubling: ||A_k||_F^2 = {tail:.3e} after {DOUBLING_MAX_STEPS} "
         "doublings", residual=tail, iterations=DOUBLING_MAX_STEPS)
@@ -238,7 +266,7 @@ def riccati_doubling(A, G, H):
 
 def _inertia(M):
     """(positive, negative) eigenvalue counts of a symmetric matrix."""
-    ev = np.linalg.eigvalsh(M)
+    ev = eigvalsh(M)
     return np.count_nonzero(ev > 0.0), np.count_nonzero(ev < 0.0)
 
 
@@ -262,51 +290,52 @@ def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS, inertia=None)
     doublings plus Newton steps, of which max_steps caps the latter.
     Failures raise ConvergenceError.
     """
-    if inertia is None:
-        inertia = _inertia(R)
-    if X0 is None:
-        G = B @ np.linalg.solve(R, B.T)
-        X, doublings = riccati_doubling(A, 0.5 * (G + G.T), H)
-    else:
-        X, doublings = X0, 0
-    step = np.inf
-    for k in range(1, max_steps + 1):
-        BtX = B.T.dot(X)
-        M = R + BtX.dot(B)
-        M = 0.5 * (M + M.T)
-        if _inertia(M) != inertia:
-            raise ConvergenceError(
-                f"solve_dare: R + B^T X B lost the inertia of R before Newton step {k}",
-                residual=step, iterations=doublings + k - 1)
-        K = np.linalg.solve(M, BtX.dot(A))
-        W = H + K.T.dot(R).dot(K)
-        try:
-            Xn = solve_dlyap_transpose(A - B.dot(K), 0.5 * (W + W.T))
-        except np.linalg.LinAlgError as e:
-            raise ConvergenceError(f"solve_dare: singular Lyapunov system at Newton step {k}",
-                                   residual=step, iterations=doublings + k) from e
-        step = fro(Xn - X)
-        X = Xn
-        if not np.isfinite(step):
-            raise ConvergenceError(f"solve_dare: non-finite iterate at Newton step {k}",
-                                   residual=step, iterations=doublings + k)
-        if step <= max(tol, NEWTON_STOP * fro(X)):
-            return X, doublings + k
-    raise ConvergenceError(
-        f"solve_dare: Newton step {step:.3e} above the stop after {max_steps} steps",
-        residual=step, iterations=doublings + max_steps)
+    with lapack_errors():
+        if inertia is None:
+            inertia = _inertia(R)
+        if X0 is None:
+            G = B @ solve(R, B.T)
+            X, doublings = riccati_doubling(A, 0.5 * (G + G.T), H)
+        else:
+            X, doublings = X0, 0
+        step = np.inf
+        for k in range(1, max_steps + 1):
+            BtX = B.T.dot(X)
+            M = R + BtX.dot(B)
+            M = 0.5 * (M + M.T)
+            if _inertia(M) != inertia:
+                raise ConvergenceError(
+                    f"solve_dare: R + B^T X B lost the inertia of R before Newton step {k}",
+                    residual=step, iterations=doublings + k - 1)
+            K = solve(M, BtX.dot(A))
+            W = H + K.T.dot(R).dot(K)
+            try:
+                Xn = solve_dlyap_transpose(A - B.dot(K), 0.5 * (W + W.T))
+            except DefinitenessError as e:
+                raise ConvergenceError(f"solve_dare: singular Lyapunov system at Newton step {k}",
+                                       residual=step, iterations=doublings + k) from e
+            step = fro(Xn - X)
+            X = Xn
+            if not np.isfinite(step):
+                raise ConvergenceError(f"solve_dare: non-finite iterate at Newton step {k}",
+                                       residual=step, iterations=doublings + k)
+            if step <= max(tol, NEWTON_STOP * fro(X)):
+                return X, doublings + k
+        raise ConvergenceError(
+            f"solve_dare: Newton step {step:.3e} above the stop after {max_steps} steps",
+            residual=step, iterations=doublings + max_steps)
 
 
 def svd(M):
     """Thin SVD returning (U, s, V) with M ~= U @ diag(s) @ V.T."""
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = _svd_thin(M)
     return U, s, Vt.T
 
 
 def sym_sqrt_and_inv_sqrt(M, name="matrix"):
     """Square root and inverse square root of an exactly symmetric PD matrix."""
-    evals, vecs = np.linalg.eigh(M)
-    if evals[0] <= 0.0:
+    evals, vecs = _eigh(M)
+    if not evals[0] > 0.0:
         raise DefinitenessError(f"{name} is not positive definite (min eig {evals[0]:.3e})")
     root = np.sqrt(evals)
     S = (vecs * root) @ vecs.T

@@ -154,7 +154,7 @@ def _sphere(gen, m, rows, cols, radius):
 
 def _eig_radii(Acl):
     """Spectral radii of a stack of closed loops Acl (..., d, d), from batched eigvals."""
-    return np.abs(np.linalg.eigvals(Acl)).max(axis=-1)
+    return np.abs(linalg.eigvals(Acl)).max(axis=-1)
 
 
 def _chunks(P, k, d):
@@ -345,7 +345,7 @@ class RolloutEngine:
         self._philox = np.random.Philox(key=0)
         self._fresh_state = self._philox.state  # counter 0 and an empty buffer
         self._gen = np.random.Generator(self._philox)
-        self._chol = np.linalg.cholesky(game.Sigma0)
+        self._chol = linalg.cholesky(game.Sigma0)
 
     def _generator(self, stream):
         """The engine's generator, re-keyed to draw what Generator(Philox(key=
@@ -607,7 +607,7 @@ class RolloutEngine:
         # eigvals here: the screen runs over at most m responses, and their
         # largest radius goes into the trace
         rho = _eig_radii(self._closed_loops(Ks[:n, None], Ls[:n]))[:, 0]
-        bad = np.nonzero(rho >= 1.0 - linalg.STABILITY_MARGIN)[0]
+        bad = np.nonzero(~(rho < 1.0 - linalg.STABILITY_MARGIN))[0]
         if bad.size:
             i = int(bad[0])
             raise SampleError(
@@ -735,7 +735,7 @@ def outer_ng_modelfree(game, L0, cfg, T, eta, flavor=outer_loop.NG, omega=None,
         if flavor == outer_loop.NG:
             D = est.grad
         else:
-            D = np.linalg.solve(est.Sigma, est.grad.T).T
+            D = linalg.solve(est.Sigma, est.grad.T).T
         Lp, mapping, proj_active = outer_loop.projected_step(game, t, trace, L, D, eta, omega)
         trace.append(trace_row(game, t, L, est.cost_mean, est.grad, est.rho_max,
                                grad_map_norm=linalg.fro(mapping),

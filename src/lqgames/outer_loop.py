@@ -109,7 +109,7 @@ def w_matrix(game, P, require_pd=True):
     """W = Rv - C^T [P - P B (Ru + B^T P B)^{-1} B^T P] C for symmetric PSD P."""
     BtP = game.B.T.dot(P)
     G = game.Ru + BtP.dot(game.B)
-    inner = P - BtP.T.dot(np.linalg.solve(G, BtP))
+    inner = P - BtP.T.dot(linalg.solve(G, BtP))
     W = game.Rv - game.C.T.dot(inner).dot(game.C)
     W = 0.5 * (W + W.T)
     if require_pd and linalg.min_eigenvalue_sym(W) <= 0.0:
@@ -148,9 +148,9 @@ def _direction(game, ev, cfg):
             eta = DEFAULT_ETA[NATURAL_NG]
     else:
         W = w_matrix(game, ev.P)
-        D = 2.0 * np.linalg.solve(W, ev.F)
+        D = 2.0 * linalg.solve(W, ev.F)
         if eta is None:
-            eta = 1.0 / (2.0 * np.linalg.norm(W, 2))
+            eta = 1.0 / (2.0 * linalg.svdvals(W)[0])  # the 2-norm
     return D, eta
 
 

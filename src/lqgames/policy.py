@@ -88,9 +88,10 @@ def evaluate(game, pi):
     """Full evaluation of a stabilizing pair. Raises UnstableError otherwise."""
     pi.check_dims(game)
     Acl = closed_loop(game, pi)
-    rho = linalg.require_stable(Acl, context="evaluate")
-    # Acl is stable and both weights exactly symmetric, as the solve requires
-    P, Sigma = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi), game.Sigma0)
+    with linalg.lapack_errors():
+        rho = linalg.require_stable(Acl, context="evaluate")
+        # Acl is stable and both weights exactly symmetric, as the solve requires
+        P, Sigma = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi), game.Sigma0)
     cost = float(np.trace(P.dot(game.Sigma0)))
     BtP, CtP = game.B.T.dot(P), game.C.T.dot(P)
     E = (game.Ru + BtP.dot(game.B)).dot(pi.K) - BtP.dot(game.A - game.C.dot(pi.L))
@@ -123,7 +124,7 @@ def check_stationary(game, pi, tol):
     p_min = linalg.min_eigenvalue_sym(ev.P)
     s_min = linalg.min_eigenvalue_sym(ev.Sigma)
     block = -game.Rv + game.C.T @ ev.P @ game.C
-    block_sigma = float(np.linalg.svd(block, compute_uv=False)[-1])
+    block_sigma = float(linalg.svdvals(block)[-1])
     ok = (gk <= tol and gl <= tol and p_min > 0.0
           and s_min >= STATIONARY_SINGULAR_TOL
           and block_sigma >= STATIONARY_SINGULAR_TOL)

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import lqgames.linalg as lin
+from lqgames import modelfree
 from lqgames import (ConvergenceError, DimensionError, InputError, NotSymmetricError,
                      UnstableError)
 
@@ -24,6 +25,13 @@ def random_stable(rng, n=3, radius=0.9):
 def random_psd(rng, n=3):
     V = rng.normal(size=(n, n))
     return V @ V.T
+
+
+def dlyap(Acl, W):
+    # X = Acl X Acl^T + W is the transposed equation of Acl^T, after the
+    # stability check its callers make
+    lin.require_stable(Acl)
+    return lin.solve_dlyap_transpose(Acl.T, lin.symmetrize(W))
 
 
 def series_dlyap(Acl, W, terms=200):
@@ -76,7 +84,7 @@ def test_dlyap_matches_series_and_scipy(d):
     for _ in range(10):
         Acl = random_stable(rng, n=d)
         W = random_psd(rng, n=d)
-        X = lin.solve_dlyap(Acl, W)
+        X = dlyap(Acl, W)
         assert np.linalg.norm(X - series_dlyap(Acl, W), "fro") <= 1e-9 * max(
             1.0, np.linalg.norm(X, "fro"))
         X_scipy = scipy.linalg.solve_discrete_lyapunov(Acl, W)
@@ -94,7 +102,7 @@ def test_dlyap_transpose_is_adjoint_direction(d):
         Acl = random_stable(rng, n=d)
         W = random_psd(rng, n=d)
         X = lin.solve_dlyap_transpose(Acl, W)
-        assert np.allclose(X, lin.solve_dlyap(Acl.T, W), atol=1e-11)
+        assert np.allclose(X, dlyap(Acl.T, W), atol=1e-11)
         assert np.linalg.norm(X - Acl.T @ X @ Acl - W, "fro") <= 1e-10 * max(
             1.0, np.linalg.norm(X, "fro"))
 
@@ -105,7 +113,7 @@ def test_dlyap_doubling_near_unit_radius():
     rng = np.random.default_rng(11)
     Acl = random_stable(rng, n=48, radius=1.0 - 1e-6)
     W = random_psd(rng, n=48)
-    X = lin.solve_dlyap(Acl, W)
+    X = dlyap(Acl, W)
     scale = np.linalg.norm(X, "fro")
     assert np.linalg.norm(X - Acl @ X @ Acl.T - W, "fro") <= 1e-12 * scale
     X_scipy = scipy.linalg.solve_discrete_lyapunov(Acl, W)
@@ -216,6 +224,16 @@ def test_riccati_doubling_failures_are_typed(monkeypatch):
     assert exc.value.iterations == 1
 
 
+def test_riccati_doubling_types_an_overflow_to_inf_minus_inf_as_non_finite():
+    # an indefinite G takes the first doubling's products to +inf and -inf,
+    # whose sum sets numpy's invalid flag as a singular I + G H does: it is a
+    # non-finite iterate all the same, and warns nothing on the way
+    A = 1e156 * np.array([[1.0, -7.0], [-9.0, -5.0]])
+    G, H = np.array([[-2.0, -0.4], [-0.4, 1.0]]), np.array([[0.2, -0.2], [-0.2, 0.4]])
+    with pytest.raises(ConvergenceError, match="non-finite iterate at doubling 1"):
+        lin.riccati_doubling(A, G, H)
+
+
 def test_solve_dare_failures_are_typed():
     A, B, H, R = np.diag([1.0, 0.5, 0.3]), np.array([[0.0], [1.0], [0.0]]), np.eye(3), np.eye(1)
     # a mode at exactly 1 that B cannot reach makes the Newton step's
@@ -253,7 +271,7 @@ def test_fro_is_numpys_frobenius_norm_bit_for_bit():
 
 def test_dlyap_rejects_unstable():
     with pytest.raises(UnstableError):
-        lin.solve_dlyap(np.diag([1.01, 0.2, 0.2]), np.eye(3))
+        dlyap(np.diag([1.01, 0.2, 0.2]), np.eye(3))
 
 
 def test_sym_sqrt_and_inv_sqrt():
@@ -273,6 +291,34 @@ def test_svd_reconstructs():
     M = rng.normal(size=(1, 3))
     U, s, V = lin.svd(M)
     assert np.allclose((U * s) @ V.T, M, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5, 8, 24, 48))
+def test_lapack_kernels_give_numpy_linalgs_floats(d):
+    # each kernel calls the gufunc that numpy.linalg's wrapper calls, on the
+    # same input, so the floats must agree bit for bit
+    rng = np.random.default_rng(300 + d)
+    M, B, b = rng.normal(size=(d, d)), rng.normal(size=(d, 3)), rng.normal(size=d)
+    pair, rhs = rng.normal(size=(2, d, d)), rng.normal(size=(2, d, 1))
+    S = lin.symmetrize(random_psd(rng, d) - random_psd(rng, d))
+    PD = lin.symmetrize(random_psd(rng, d) + np.eye(d))
+    assert np.array_equal(lin.solve(M, B), np.linalg.solve(M, B))
+    assert np.array_equal(lin.solve(M, b[:, None])[:, 0], np.linalg.solve(M, b))
+    assert np.array_equal(lin.solve(pair, rhs), np.linalg.solve(pair, rhs))
+    assert np.array_equal(lin.inv(M), np.linalg.inv(M))
+    assert np.array_equal(lin.eigvals(M), np.linalg.eigvals(M))
+    assert np.array_equal(lin.eigvalsh(S), np.linalg.eigvalsh(S))
+    assert all(np.array_equal(x, y) for x, y in zip(lin._eigh(PD), np.linalg.eigh(PD)))
+    assert np.array_equal(lin.cholesky(PD), np.linalg.cholesky(PD))
+    assert np.array_equal(lin.svdvals(M), np.linalg.svd(M, compute_uv=False))
+    assert lin.svdvals(PD)[0] == np.linalg.norm(PD, 2)  # the adaptive stepsizes
+    U, s, V = lin.svd(M[:max(1, d // 2)])
+    want = np.linalg.svd(M[:max(1, d // 2)], full_matrices=False)
+    assert all(np.array_equal(x, y) for x, y in zip((U, s, V.T), want))
+    # modelfree's radii of a stack of closed loops, as its d > 3 screen takes them
+    loops = rng.normal(size=(2, 5, d, d))
+    assert np.array_equal(modelfree._eig_radii(loops),
+                          np.abs(np.linalg.eigvals(loops)).max(axis=-1))
 
 
 @pytest.mark.parametrize("value", [[["a", "b"]], [[1.0, 2.0], [3.0]], [[{}]]])

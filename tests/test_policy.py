@@ -107,6 +107,18 @@ def test_evaluate_rejects_unstable_pair(g1):
     assert exc.value.rho > 1.0
 
 
+def test_evaluate_types_a_nan_gain_before_lapack_sees_it(g1, nash1, capfd):
+    # the loops hand evaluate unchecked gains: one that went NaN must raise a
+    # typed error, return no NaN, and not reach LAPACK, whose argument checks
+    # would print to stderr
+    K = nash1.Kstar.copy()
+    K[0, 1] = np.nan
+    with pytest.raises(lq.ConvergenceError):
+        lq.evaluate(g1, lq.PolicyPair._trusted(K, nash1.Lstar))
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", "")
+
+
 def test_check_stationary(g1, nash1):
     ok, report = lq.check_stationary(
         g1, lq.PolicyPair(nash1.Kstar, nash1.Lstar), tol=1e-7)

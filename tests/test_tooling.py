@@ -61,6 +61,21 @@ def test_package_raises_only_its_own_errors():
     assert bad == []
 
 
+def test_lapack_is_reached_only_through_linalg():
+    # numpy.linalg's wrappers re-check their input on every call; the package
+    # validates once at its boundary and calls LAPACK through linalg's kernels
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (getattr(node, f, None) for f in ("id", "attr", "name", "module"))
+            if path.stem != "linalg" and any("_umath_linalg" in str(n) for n in names):
+                bad.append(f"{path.name}:{node.lineno}: names _umath_linalg")
+            if (path.stem != "linalg" and isinstance(node, ast.Call)
+                    and ast.unparse(node.func).startswith(("np.linalg.", "numpy.linalg."))):
+                bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}(...)")
+    assert bad == []
+
+
 def _env():
     env = dict(os.environ)
     src = str(DEMOS.parent / "src")
