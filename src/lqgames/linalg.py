@@ -10,9 +10,10 @@ as well as an LqGamesError). Everything else here trusts the arrays the package
 built (symmetric ones exactly symmetric): spectral_radius,
 min_eigenvalue_sym, require_stable, solve_dlyap_transpose, riccati_doubling,
 solve_dare (whose callers also pass R's inertia, known from LqGame's PD
-checks), svd, sym_sqrt_and_inv_sqrt and fro. The small-d paths multiply with
+checks), svd, sym_sqrt_and_inv_sqrt and fro. Every 2-d product here is
 ndarray.dot, not @: it calls the same BLAS routine, so the floats are the
-same, at about half the cost for 3 x 3 operands.
+same, at about half the per-call cost for 3 x 3 operands and 0.6 to 0.9 of
+it for 24 x 24 to 48 x 48.
 
 LAPACK runs through numpy.linalg's gufuncs, looked up once at import and
 called directly (solve, inv, eigvals, eigvalsh, svdvals, cholesky, and the
@@ -187,10 +188,10 @@ def _dlyap_transpose_doubling(Acl, W, S=None):
     X, Y = W, S
     Ak = Acl
     for _ in range(DOUBLING_MAX_STEPS):
-        X = X + Ak.T @ X @ Ak
+        X = X + Ak.T.dot(X).dot(Ak)
         if S is not None:
-            Y = Y + Ak @ Y @ Ak.T
-        Ak = Ak @ Ak
+            Y = Y + Ak.dot(Y).dot(Ak.T)
+        Ak = Ak.dot(Ak)
         v = Ak.ravel()
         tail = float(v.dot(v))
         if tail <= DOUBLING_TOL:
@@ -238,17 +239,17 @@ def riccati_doubling(A, G, H):
     with lapack_errors(over="ignore"):
         for k in range(1, DOUBLING_MAX_STEPS + 1):
             try:
-                Winv = inv(eye + G @ H)
+                Winv = inv(eye + G.dot(H))
             except DefinitenessError as e:
                 raise ConvergenceError(
                     f"riccati_doubling: I + G H is singular at doubling {k}",
                     iterations=k) from e
             try:
                 # (I + G H)^{-1} G is symmetric, which keeps G' symmetric
-                WA, WG = Winv @ A, Winv @ G
-                G = G + A @ WG @ A.T
-                H = H + A.T @ H @ WA
-                A = A @ WA
+                WA, WG = Winv.dot(A), Winv.dot(G)
+                G = G + A.dot(WG).dot(A.T)
+                H = H + A.T.dot(H).dot(WA)
+                A = A.dot(WA)
                 G = 0.5 * (G + G.T)
                 H = 0.5 * (H + H.T)
                 tail = float((A * A).sum())
@@ -294,7 +295,7 @@ def solve_dare(A, B, H, R, tol, X0=None, max_steps=DARE_MAX_STEPS, inertia=None)
         if inertia is None:
             inertia = _inertia(R)
         if X0 is None:
-            G = B @ solve(R, B.T)
+            G = B.dot(solve(R, B.T))
             X, doublings = riccati_doubling(A, 0.5 * (G + G.T), H)
         else:
             X, doublings = X0, 0
@@ -338,6 +339,6 @@ def sym_sqrt_and_inv_sqrt(M, name="matrix"):
     if not evals[0] > 0.0:
         raise DefinitenessError(f"{name} is not positive definite (min eig {evals[0]:.3e})")
     root = np.sqrt(evals)
-    S = (vecs * root) @ vecs.T
-    Sinv = (vecs / root) @ vecs.T
+    S = (vecs * root).dot(vecs.T)
+    Sinv = (vecs / root).dot(vecs.T)
     return 0.5 * (S + S.T), 0.5 * (Sinv + Sinv.T)

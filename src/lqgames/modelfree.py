@@ -21,7 +21,10 @@ its closed loop A_i = A - C L - B K_i, so both sums follow from
 M_i = sum_{t<R} A_i^t x0_i x0_i' A_i^t', which binary doubling builds in
 O(log R) products of d x d matrices; the cost is <W_i, M_i> for the stage
 weight W_i = Q - L'Rv L + K_i'Ru K_i. The products are einsums over
-(d, d, trajectories) stacks. Doubling costs O(d^3 log R) per trajectory and
+(d, d, trajectories) stacks. The doubling keeps its sums transposed, so that
+every product but the squaring takes einsum's faster spelling A B', and its
+first squaring A_i^2 is the one the Schur-Cohn screen computed; it works in
+six arrays of a chunk's size. Doubling costs O(d^3 log R) per trajectory and
 stepping O(d^2 R), so for rollouts short for their dimension,
 R < ROLLOUT_DOUBLING_R_PER_D2 * d^2, the chunk is stepped R times instead.
 estimate_inner is the one-pair case; the lock-step inner solves and the
@@ -49,8 +52,9 @@ s0 + 2 + 2 * inner_steps * i + 2 * j and the one after (s0 and s0 + 1 hold
 the outer draws). Sample 0 runs first and alone, because its response is
 the warm start of the other samples and of the next outer step. Samples
 1..m-1 then take their inner steps together, in blocks of at most
-LOCKSTEP_TRAJECTORIES live trajectories, each drawing from its own streams,
-so neither the schedule nor the block size changes a result. A failure
+LOCKSTEP_TRAJECTORIES live trajectories, each drawing from its own streams
+(a block's perturbations into one array, normalized at once), so neither
+the schedule nor the block size changes a result. A failure
 raises the error that the sequential schedule would raise first.
 
 Every perturbed gain must keep its closed loop strictly inside the stability
@@ -101,10 +105,11 @@ SCREEN_MAX_DIM = 3
 RHO_PROBE_STRIDE = 64
 # Rollouts build each trajectory's R-step sums by doubling, O(d^3 log R) per
 # trajectory, when R >= ROLLOUT_DOUBLING_R_PER_D2 * d^2, and step R times,
-# O(d^2 R), below that. The R at which both took equal time (m = 2e4, one
-# pair, random games with m1 = 1) was about 6 at d = 2, 14 at d = 3, 32 at
-# d = 4, 75 at d = 5, 120 at d = 6, 250 at d = 8, 330 at d = 10 and 1300 at
-# d = 20.
+# O(d^2 R), below that. The R at which both take equal time (m = 2e4, one
+# pair, random games with m1 = 1, the eigvals screen left out) is about 3 at
+# d = 2, 15 at d = 3, 25 at d = 4, 40 at d = 5, 49 at d = 6, 84 at d = 8 and
+# 114 at d = 10. Moving the switch moves which kernel sums a rollout, and so
+# its floats.
 ROLLOUT_DOUBLING_R_PER_D2 = 3
 # The walk screens and rolls out chunks of at most
 # max(1, ROLLOUT_SLICE_ENTRIES // d^2) trajectories (1820 at d = 3), so each
@@ -144,12 +149,18 @@ class GradEstimate:
 
 
 def _sphere(gen, m, rows, cols, radius):
-    w = gen.standard_normal((m, rows * cols))
-    # the floats of radius * w / np.linalg.norm(w, axis=1), scaled in place
-    norms = np.sqrt(np.add.reduce(w * w, axis=1))
+    return _to_sphere(gen.standard_normal((m, rows * cols)), radius).reshape(m, rows, cols)
+
+
+def _to_sphere(w, radius):
+    """The rows w (..., n) scaled in place onto the sphere of radius radius:
+    the floats of radius * w / np.linalg.norm(w, axis=-1). Each row's norm is
+    reduced along the row, as norm reduces it; a sum down columns adds in
+    another order from 8 entries a row on."""
+    norms = np.sqrt(np.add.reduce(w * w, axis=-1))
     w *= radius
-    w /= norms[:, None]
-    return w.reshape(m, rows, cols)
+    w /= norms[..., None]
+    return w
 
 
 def _eig_radii(Acl):
@@ -173,12 +184,12 @@ def _chunks(P, k, d):
 def _loop_offsets(game, L):
     """A - C L for the maximizer gains L (P, m2, d), trajectory-last as
     (d, d, P, 1)."""
-    return np.moveaxis(game.A - game.C @ L, 0, -1)[..., None]
+    return (game.A - game.C @ L).transpose(1, 2, 0)[..., None]
 
 
 def _trajectory_last(K):
     """Gains K (p, k, m1, d) as a contiguous (m1, d, p, k) stack."""
-    return np.ascontiguousarray(np.moveaxis(K, (0, 1), (2, 3)))
+    return np.ascontiguousarray(K.transpose(2, 3, 0, 1))
 
 
 def _chunk_loops(game, F, Kt, out=None):
@@ -188,29 +199,33 @@ def _chunk_loops(game, F, Kt, out=None):
     return np.subtract(F, Acl, out=Acl)
 
 
-def _char_poly(Acl):
+def _char_poly(Acl, out=None):
     """Coefficients [1, c_1, ..., c_d], stacked on a leading axis, of the monic
     characteristic polynomials z^d + c_1 z^(d-1) + ... + c_d of the closed
     loops Acl (d, d, ...), stacked on trailing axes, d <= 3.
 
     They come from the power traces p_k = tr Acl^k by Newton's identities,
-    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1); tr Acl^3 is the sum of
-    Acl^2 * Acl^T, so one batched product serves every d <= 3. Loops with
-    entries large enough to overflow get non-finite coefficients, which the
-    Schur-Cohn test rejects.
+    k c_k = -(c_(k-1) p_1 + ... + c_1 p_(k-1) + p_k); tr Acl^3 is the sum of
+    Acl^2 * Acl^T, so one batched product serves every d <= 3. For d > 1 that
+    product Acl^2 goes into out when given, where the doubling kernel takes
+    it as its first squaring. Loops with entries large enough to overflow get
+    non-finite coefficients, which the Schur-Cohn test rejects.
     """
     d = Acl.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         p = [np.einsum("ii...->...", Acl)]
         if d > 1:
-            A2 = np.einsum("ij...,jl...->il...", Acl, Acl)
+            A2 = np.einsum("ij...,jl...->il...", Acl, Acl, out=out)
             p.append(np.einsum("ii...->...", A2))
             if d > 2:
                 p.append(np.einsum("ij...,ji...->...", A2, Acl))
         c = np.empty((d + 1,) + Acl.shape[2:])
         c[0] = 1.0
         for k in range(1, d + 1):
-            c[k] = -sum(c[k - i] * p[i - 1] for i in range(1, k + 1)) / k
+            s = c[k - 1] * p[0]
+            for i in range(2, k + 1):
+                s += c[k - i] * p[i - 1]
+            c[k] = -s / k
     return c
 
 
@@ -254,12 +269,19 @@ def _diverged(j):
                             "finite; the stepsize alpha is likely too large", iterations=j)
 
 
-def _doubled_sums(A, X, M, T, AT, R):
-    """M = sum_{t<R} A^t X A^t' for (d, d, n) stacks, R >= 1, by binary
-    doubling (Smith 1968): from X_1 = X, X_2n = X_n + A^n X_n A^n' and
-    A^2n = A^n A^n, and each set bit of R, lowest first, folds in
-    M <- X_n + A^n M A^n'. That takes O(log R) products where stepping takes
-    R. A, X, T and AT are overwritten; M is returned."""
+def _doubled_sums(A, A2, X, M, T, AT, R, squared=False):
+    """M = sum_{t<R} A^t X A^t' for (d, d, n) stacks, R >= 1 and X exactly
+    symmetric, by binary doubling (Smith 1968): from X_1 = X,
+    X_2n = X_n + A^n X_n A^n' and A^2n = A^n A^n, and each set bit of R,
+    lowest first, folds in M <- X_n + A^n M A^n'. That takes O(log R)
+    products where stepping takes R.
+
+    X and M are kept transposed, so that every product but the squaring is
+    the faster einsum spelling A B': (A Y A')' is A (A Y)', whose terms are
+    those of (A Y) A' summed in the same order, so the floats are the same.
+    A2 takes the squares; given squared, it holds A^2 already (the Schur-Cohn
+    screen's). A, A2, X, M and AT are overwritten; M is returned, transposed
+    back, in T."""
     first = True
     while True:
         if R & 1:
@@ -267,17 +289,20 @@ def _doubled_sums(A, X, M, T, AT, R):
                 np.copyto(M, X)
                 first = False
             else:
-                np.einsum(_PRODUCT, A, M, out=T)
-                np.einsum(_PRODUCT_T, T, A, out=M)
+                np.einsum(_PRODUCT_T, A, M, out=T)
+                np.einsum(_PRODUCT_T, A, T, out=M)
                 M += X
         R >>= 1
         if not R:
-            return M
-        np.einsum(_PRODUCT, A, X, out=T)
-        np.einsum(_PRODUCT_T, T, A, out=AT)
+            np.copyto(T, M.transpose(1, 0, 2))
+            return T
+        np.einsum(_PRODUCT_T, A, X, out=T)
+        np.einsum(_PRODUCT_T, A, T, out=AT)
         X += AT
-        np.einsum(_PRODUCT, A, A, out=T)
-        A, T = T, A
+        if not squared:
+            np.einsum(_PRODUCT, A, A, out=A2)
+        squared = False
+        A, A2 = A2, A
 
 
 def _stepped_sums(F, W, Kp, x, R, S):
@@ -288,7 +313,7 @@ def _stepped_sums(F, W, Kp, x, R, S):
     F = [A - C L, -B], the stage cost z' W z for W = diag(Q - L'Rv L, Ru) and
     the correlation sum z z' each take one batched product."""
     pairs, k, d = x.shape
-    K = np.ascontiguousarray(np.moveaxis(Kp, 1, -1))  # (pairs, m1, d, k)
+    K = np.ascontiguousarray(Kp.transpose(0, 2, 3, 1))  # (pairs, m1, d, k)
     z = np.empty((pairs, F.shape[2], k))
     z_next = np.empty_like(z)
     z[:, :d] = np.swapaxes(x, 1, 2)
@@ -344,14 +369,15 @@ class RolloutEngine:
         self._stream = 0
         self._philox = np.random.Philox(key=0)
         self._fresh_state = self._philox.state  # counter 0 and an empty buffer
+        self._key = self._fresh_state["state"]["key"]
+        self._key[0] = self.seed & _MASK64
         self._gen = np.random.Generator(self._philox)
         self._chol = linalg.cholesky(game.Sigma0)
 
     def _generator(self, stream):
         """The engine's generator, re-keyed to draw what Generator(Philox(key=
         (seed, stream))) would; consume it before the next stream is keyed."""
-        self._fresh_state["state"]["key"] = np.array(
-            [self.seed & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+        self._key[1] = int(stream) & _MASK64
         self._philox.state = self._fresh_state  # the setter copies
         return self._gen
 
@@ -393,13 +419,16 @@ class RolloutEngine:
         streams[i]: its first n rows when first, else the next n rows of the
         stream keyed last, so a pair walked in several chunks gets the rows
         of draw_x0(k) on its stream."""
-        return self._x0(np.stack([(self._generator(s) if first else self._gen)
-                                  .standard_normal((n, self.game.d)) for s in streams]))
+        z = np.empty((len(streams), n, self.game.d))
+        for i, s in enumerate(streams):
+            (self._generator(s) if first else self._gen).standard_normal(out=z[i])
+        return self._x0(z)
 
-    def _verdicts(self, Kp, Acl, L, rho_hat=None):
+    def _verdicts(self, Kp, Acl, L, rho_hat=None, A2=None):
         """Stability of a chunk's closed loops A - C L_p - B Kp[p, i], for its
         gains Kp (pairs, n, m1, d), its loops Acl (d, d, pairs, >= n) as
-        _chunk_loops builds them, and L (pairs, m2, d).
+        _chunk_loops builds them, and L (pairs, m2, d). The Schur-Cohn test
+        leaves Acl^2 in A2 when given (see _char_poly).
 
         Returns the (pairs, n) mask of rho < 1 - STABILITY_MARGIN and, given
         rho_hat, the (pairs, n) mask of loops whose radius the test cannot
@@ -413,7 +442,7 @@ class RolloutEngine:
         if self.game.d > SCREEN_MAX_DIM:
             rho = _eig_radii(self._closed_loops(Kp, L))
             return rho < s, None if rho_hat is None else rho > rho_hat
-        coef = _char_poly(Acl)
+        coef = _char_poly(Acl, A2)
         near = None if rho_hat is None else ~_inside(coef, rho_hat * (1.0 - 1e-12))[:, :n]
         return _inside(coef, s)[:, :n], near
 
@@ -430,8 +459,12 @@ class RolloutEngine:
         where the Schur-Cohn screen or the doubling kernel reads them; it
         is screened (_verdicts), draws its initial states and is rolled out,
         by doubling (_doubled_sums) from R >= ROLLOUT_DOUBLING_R_PER_D2 * d^2
-        on, else by stepping (_stepped_sums). Every pair is computed alone,
-        so its results do not depend on the stack.
+        on, else by stepping (_stepped_sums). The doubling works in six
+        arrays of the chunk's size: the loops, their squares (left by the
+        screen for 1 < d <= SCREEN_MAX_DIM), its transposed sums X and M and
+        two products; the stage weights W go where X was once it is done.
+        Every pair is computed alone, so its results do not depend on the
+        stack.
 
         Returns the (P, k) costs, the (P, d, d) correlation sums over each
         pair's trajectories and steps, the largest radius of a single pair's
@@ -447,7 +480,7 @@ class RolloutEngine:
         F = _loop_offsets(g, L)
         Wbar = g.Q - np.swapaxes(L, 1, 2) @ g.Rv @ L
         if doubling:
-            Wbar = np.moveaxis(Wbar, 0, -1)[..., None]
+            Wbar = Wbar.transpose(1, 2, 0)[..., None]
             S = np.zeros((d, d, P))
         else:
             Fz = np.concatenate([g.A - g.C @ L, np.broadcast_to(-g.B, (P, d, m1))], axis=2)
@@ -455,8 +488,11 @@ class RolloutEngine:
             Wz[:, :d, :d] = Wbar
             Wz[:, d:, d:] = g.Ru
             S = np.zeros((P, d + m1, d + m1))
-        # the doubling kernel's six work arrays, the first for the loops
+        # the doubling kernel's six work arrays, the first for the loops and
+        # the second for their squares; share: the Schur-Cohn screen leaves
+        # the squares there, which the doubling takes as its first
         loops = doubling or (U is not None and d <= SCREEN_MAX_DIM)
+        share = doubling and U is not None and 1 < d <= SCREEN_MAX_DIM
         work = np.empty((6 if doubling else 1,
                          d * d * max(2, min(P * k, ROLLOUT_SLICE_ENTRIES // d ** 2))))
 
@@ -478,8 +514,10 @@ class RolloutEngine:
             Kp = K[p, None] if U is None else K[p, None] + U[p, t]
             n = Kp.shape[1]
             Kt, arrays = form(p, Kp)
+            squared = share
             if U is not None:
-                stable, near = self._verdicts(Kp, arrays[0], L[p], rho_hat)
+                stable, near = self._verdicts(Kp, arrays[0], L[p], rho_hat,
+                                              arrays[1] if share else None)
                 if near is not None:
                     near_gains.append(Kp[near])
                 if not stable.all():
@@ -491,16 +529,19 @@ class RolloutEngine:
                         break
                     p, Kp = slice(p.start, p.start + i), Kp[:i]
                     Kt, arrays = form(p, Kp)
+                    squared = False
             x = self._states(x0[p], t.start == 0, n) if np.ndim(x0) == 1 else x0[p, t]
             if doubling:
-                Acl, W, X, M, T, AT = arrays
-                np.einsum("aipk,ajpk->ijpk", Kt, np.einsum("ab,bjpk->ajpk", g.Ru, Kt), out=W)
-                W += Wbar[:, :, p]
-                x = np.ascontiguousarray(np.moveaxis(x, 2, 0))
+                x = np.ascontiguousarray(x.transpose(2, 0, 1))
                 if Kt.shape[3] > n:
                     x = np.concatenate((x, x), -1)
-                np.multiply(x[:, None], x[None], out=X)
-                _doubled_sums(*(a.reshape(d, d, -1) for a in (Acl, X, M, T, AT)), R)
+                np.multiply(x[:, None], x[None], out=arrays[2])
+                M = _doubled_sums(*(a.reshape(d, d, -1) for a in arrays), R, squared)
+                M = M.reshape(arrays[0].shape)
+                # the stage weights, where the doubling kept X
+                W = np.einsum("aipk,ajpk->ijpk", Kt, np.einsum("ab,bjpk->ajpk", g.Ru, Kt),
+                              out=arrays[2])
+                W += Wbar[:, :, p]
                 cost[p, t] = np.einsum("ijpk,ijpk->pk", W, M)[:, :n]
                 S[:, :, p] += M[..., :n].sum(axis=-1)
             else:
@@ -508,7 +549,7 @@ class RolloutEngine:
             if failure is not None:
                 break
         if doubling:
-            S = np.moveaxis(S, -1, 0)
+            S = S.transpose(2, 0, 1)
         rho_max = rho_hat
         if near_gains and sum(map(len, near_gains)):
             near = np.concatenate(near_gains)[None]
@@ -640,11 +681,16 @@ class RolloutEngine:
         n = Ls.shape[0]
         K = np.broadcast_to(K_warm, (n, g.m1, g.d)).copy()
         error = None
+        U = np.empty((n, k, g.m1 * g.d))
         for j in range(steps):
-            U = np.stack([_sphere(self._generator(s + 2 * j), k, g.m1, g.d, r)
-                          for s in streams[:n]])
-            grad, Sigma, _, _, failure = self._estimate(K[:n], Ls[:n], U, streams[:n] + 2 * j + 1,
-                                                        R, r)
+            # every live solve's perturbations in one block, each drawn
+            # from its own stream, as _sphere would draw it alone
+            for i, s in enumerate(streams[:n]):
+                self._generator(s + 2 * j).standard_normal(out=U[i])
+            _to_sphere(U[:n], r)
+            grad, Sigma, _, _, failure = self._estimate(K[:n], Ls[:n],
+                                                        U[:n].reshape(n, k, g.m1, g.d),
+                                                        streams[:n] + 2 * j + 1, R, r)
             if failure is not None:
                 n = len(grad)
                 error = (n, _at_inner_step(j, failure))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, _check_positive
+from .errors import ConvergenceError, DefinitenessError, DimensionError, _check_positive
 
 # sigma_min threshold treated as singular in the stationarity report
 STATIONARY_SINGULAR_TOL = 1e-12
@@ -87,8 +87,11 @@ def stage_weight(game, pi):
 def evaluate(game, pi):
     """Full evaluation of a stabilizing pair. Raises UnstableError otherwise."""
     pi.check_dims(game)
-    Acl = closed_loop(game, pi)
     with linalg.lapack_errors():
+        try:
+            Acl = closed_loop(game, pi)
+        except DefinitenessError as e:  # an inf in a gain the loops computed
+            raise ConvergenceError("evaluate: the closed loop has non-finite entries") from e
         rho = linalg.require_stable(Acl, context="evaluate")
         # Acl is stable and both weights exactly symmetric, as the solve requires
         P, Sigma = linalg.solve_dlyap_transpose(Acl, stage_weight(game, pi), game.Sigma0)

@@ -564,22 +564,30 @@ def _rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-@pytest.mark.parametrize("flavor,alpha", [(lq.PG, 1e-3), (lq.NATURAL_PG, 1e-4)])
-def test_lockstep_outer_estimate_matches_sequential_schedule(g1, k1_at_zero, flavor, alpha):
+@pytest.mark.parametrize("wide,flavor,alpha", [
+    pytest.param(False, lq.PG, 1e-3, id="PG-0.001"),
+    pytest.param(False, lq.NATURAL_PG, 1e-4, id="NaturalPG-0.0001"),
+    pytest.param(True, lq.PG, 1e-4, id="wide-PG-0.0001"),
+    pytest.param(True, lq.NATURAL_PG, 1e-5, id="wide-NaturalPG-1e-05")])
+def test_lockstep_outer_estimate_matches_sequential_schedule(g1, k1_at_zero, wide, flavor, alpha):
     # two outer estimates in a row (a T = 1 run): the second starts from the
-    # first one's warm response and from where the first left the streams
+    # first one's warm response and from where the first left the streams.
+    # The wide game's perturbations have m1 d = 8 entries a row, enough for a
+    # sum of their squares down columns to differ from the row norm's floats.
+    game = _small_game(4, 2, 0) if wide else g1
+    L = np.zeros((1, game.d))
+    warm_lock = warm_seq = lq.solve_inner_riccati(game, L).K if wide else k1_at_zero
     m, R, r, steps = 30, 60, 0.02, 3
-    lock, seq = mf.RolloutEngine(g1, 21), mf.RolloutEngine(g1, 21)
-    L = np.zeros((1, 3))
-    warm_lock = warm_seq = k1_at_zero
+    lock, seq = mf.RolloutEngine(game, 21), mf.RolloutEngine(game, 21)
     for _ in range(2):
         est, warm_lock = lock.estimate_outer(L, warm_lock, m, R, r, steps, alpha, flavor)
         ref, warm_seq = _sequential_outer(seq, L, warm_seq, m, R, r, steps, alpha, flavor)
         assert lock._stream == seq._stream
         for a, b in ((est.grad, ref.grad), (est.Sigma, ref.Sigma),
-                     (est.cost_mean, ref.cost_mean), (est.rho_max, ref.rho_max),
-                     (warm_lock, warm_seq)):
+                     (est.cost_mean, ref.cost_mean), (est.rho_max, ref.rho_max)):
             assert _rel(a, b) <= 1e-12
+        # the inner solves draw and roll out alike in both schedules
+        assert np.array_equal(warm_lock, warm_seq)
         assert est.m == m
         L = L + 1e-3 * est.grad
 

@@ -1,6 +1,7 @@
 """Policy evaluation against scalar closed forms and finite differences."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ def test_evaluate_types_a_nan_gain_before_lapack_sees_it(g1, nash1, capfd):
     K[0, 1] = np.nan
     with pytest.raises(lq.ConvergenceError):
         lq.evaluate(g1, lq.PolicyPair._trusted(K, nash1.Lstar))
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", "")
+
+
+def test_evaluate_types_an_inf_gain_without_a_warning(g1, nash1, capfd):
+    # the product B K of an inf gain sets numpy's invalid flag: evaluate must
+    # raise the typed error a NaN gain gets, not warn
+    K = nash1.Kstar.copy()
+    K[0, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lq.ConvergenceError):
+            lq.evaluate(g1, lq.PolicyPair._trusted(K, nash1.Lstar))
     out, err = capfd.readouterr()
     assert (out, err) == ("", "")
 

@@ -76,6 +76,15 @@ def test_lapack_is_reached_only_through_linalg():
     assert bad == []
 
 
+def test_linalg_multiplies_with_dot_not_matmul():
+    # ndarray.dot gives @'s floats for 2-d operands at less per-call cost
+    # (about half at 3 x 3), which the kernels pay on every doubling step
+    bad = [f"linalg.py:{node.lineno}: {ast.unparse(node)}"
+           for node in ast.walk(ast.parse((PACKAGE / "linalg.py").read_text()))
+           if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert bad == []
+
+
 def _env():
     env = dict(os.environ)
     src = str(DEMOS.parent / "src")
